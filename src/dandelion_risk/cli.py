@@ -18,19 +18,19 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import __version__
-from .core_model import (
-    AdmissibilityError,
-    ModelConfig,
-    calibrate,
-    rho_bounds,
-    rho_to_q,
-)
+from .core_model import ModelConfig, calibrate, rho_bounds
 from .distribution import loss_pmf
 from .metrics import GridSpec, risk_report, scan_rho
 from .oracle import GENERATOR_NAME, sample
 
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
+
+# CSV rows are formatted and written this many at a time, so the memory the
+# writer holds does not grow with the row count.
+CSV_BLOCK_ROWS = 65536
 
 
 @dataclass
@@ -61,21 +61,46 @@ def _resolve_output(path: str) -> str:
     return path
 
 
-def _emit(payload: str, manifest: RunManifest, output: str | None,
-          embedded: bool) -> None:
-    """Write the payload; attach the manifest per format conventions."""
+def _csv_chunks(columns: dict, extras: dict):
+    """Yield the CSV text: header, rows in blocks, then `# key = value` lines."""
+    yield ",".join(columns) + "\n"
+    n_rows = len(next(iter(columns.values()), ()))
+    for start in range(0, n_rows, CSV_BLOCK_ROWS):
+        # tolist() gives Python ints and floats, whose repr is the shortest
+        # round-trip decimal form.
+        cells = [map(repr, np.asarray(col[start:start + CSV_BLOCK_ROWS]).tolist())
+                 for col in columns.values()]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+    for key, value in extras.items():
+        yield f"# {key} = {'' if value is None else _fmt(value)}\n"
+
+
+def _emit(columns: dict, extras: dict, manifest: RunManifest, fmt: str,
+          output: str | None) -> None:
+    """Write one result table as CSV or JSON with its run manifest.
+
+    JSON embeds the manifest next to `data` (columns and extras).  CSV puts the
+    manifest in a sidecar `<file>.manifest.json`, or on stderr when the rows
+    go to stdout.
+    """
+    if fmt == "json":
+        data = {name: np.asarray(col).tolist() for name, col in columns.items()}
+        document = {"manifest": asdict(manifest), "data": {**data, **extras}}
+        chunks, sidecar = [json.dumps(document, sort_keys=True) + "\n"], None
+    else:
+        chunks, sidecar = _csv_chunks(columns, extras), manifest.to_json() + "\n"
     if output is None:
-        sys.stdout.write(payload)
-        if not embedded:
-            sys.stderr.write(manifest.to_json() + "\n")
+        sys.stdout.writelines(chunks)
+        if sidecar is not None:
+            sys.stderr.write(sidecar)
         return
     path = _resolve_output(output)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        if not embedded:
+            fh.writelines(chunks)
+        if sidecar is not None:
             with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-                fh.write(manifest.to_json() + "\n")
+                fh.write(sidecar)
     except OSError as exc:
         raise _IOFailure(f"cannot write output file {path!r}: {exc}") from exc
 
@@ -84,20 +109,14 @@ class _IOFailure(Exception):
     pass
 
 
-def _csv_rows(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_document(manifest: RunManifest, data) -> str:
-    return json.dumps({"manifest": asdict(manifest), "data": data}, sort_keys=True) + "\n"
-
-
 # --- subcommands --------------------------------------------------------------
+#
+# Each table command computes its result and returns (columns, extras): an
+# ordered dict of equal-length columns and a dict of scalars, for _emit.
+# calibrate prints its text report itself and returns None.
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args) -> None:
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
     params = calibrate(cfg)
     bounds = rho_bounds(args.p)
@@ -107,131 +126,44 @@ def _cmd_calibrate(args) -> int:
     print(f"log_z   = {_fmt(params.log_z)}")
     print(f"q       = {_fmt(cfg.q)}")
     print(f"rho_interval = ({_fmt(bounds.lower)}, {_fmt(bounds.upper)})")
-    return 0
 
 
-def _cmd_pmf(args) -> int:
+def _cmd_pmf(args):
+    pmf = loss_pmf(ModelConfig(n_credits=args.n, p=args.p, rho=args.rho))
+    return {"l": np.arange(pmf.n + 1), "mass": pmf.mass, "log_mass": pmf.log_mass}, {}
+
+
+def _cmd_metrics(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
-    pmf = loss_pmf(cfg)
-    manifest = RunManifest(
-        command="pmf",
-        parameters={"p": args.p, "rho": args.rho, "n": args.n, "format": args.format},
-    )
-    if args.format == "csv":
-        payload = _csv_rows(
-            ["l", "mass", "log_mass"],
-            (
-                (int(l), float(pmf.mass[l]), float(pmf.log_mass[l]))
-                for l in range(pmf.n + 1)
-            ),
-        )
-        _emit(payload, manifest, args.output, embedded=False)
-    else:
-        data = {
-            "l": list(range(pmf.n + 1)),
-            "mass": [float(v) for v in pmf.mass],
-            "log_mass": [float(v) for v in pmf.log_mass],
-        }
-        _emit(_json_document(manifest, data), manifest, args.output, embedded=True)
-    return 0
+    return {}, asdict(risk_report(loss_pmf(cfg), level=args.level))
 
 
-def _cmd_metrics(args) -> int:
-    cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
-    report = risk_report(loss_pmf(cfg), level=args.level)
-    manifest = RunManifest(
-        command="metrics",
-        parameters={"p": args.p, "rho": args.rho, "n": args.n, "level": args.level},
-    )
-    data = asdict(report)
-    data["peaks"] = list(report.peaks)
-    _emit(_json_document(manifest, data), manifest, args.output, embedded=True)
-    return 0
-
-
-def _cmd_scan(args) -> int:
-    spec = GridSpec(count=args.points, margin=args.margin)
+def _cmd_scan(args):
     result = scan_rho(
         args.p,
         args.n,
-        grid_spec=spec,
+        grid_spec=GridSpec(count=args.points, margin=args.margin),
         level=args.level,
         jump_threshold=args.jump_threshold,
     )
-    manifest = RunManifest(
-        command="scan",
-        parameters={
-            "p": args.p,
-            "n": args.n,
-            "points": args.points,
-            "margin": args.margin,
-            "level": args.level,
-            "jump_threshold": args.jump_threshold,
-            "format": args.format,
-        },
-    )
-    if args.format == "csv":
-        rows = (
-            (
-                float(rho),
-                rep.var_value,
-                rep.mode,
-                float(rep.mode_prob),
-                float(rep.mean),
-                float(rep.variance),
-            )
-            for rho, rep in zip(result.rho_grid, result.reports)
-        )
-        payload = _csv_rows(
-            ["rho", "var", "mode", "mode_prob", "mean", "variance"], rows
-        )
-        star = "" if result.rho_star is None else _fmt(result.rho_star)
-        payload += f"# rho_star = {star}\n# jump_size = {result.jump_size}\n"
-        _emit(payload, manifest, args.output, embedded=False)
-    else:
-        data = {
-            "rho": [float(r) for r in result.rho_grid],
-            "var": [rep.var_value for rep in result.reports],
-            "mode": [rep.mode for rep in result.reports],
-            "mode_prob": [float(rep.mode_prob) for rep in result.reports],
-            "mean": [float(rep.mean) for rep in result.reports],
-            "variance": [float(rep.variance) for rep in result.reports],
-            "rho_star": result.rho_star,
-            "jump_size": result.jump_size,
-        }
-        _emit(_json_document(manifest, data), manifest, args.output, embedded=True)
-    return 0
+    reports = result.reports
+    columns = {
+        "rho": result.rho_grid,
+        "var": [rep.var_value for rep in reports],
+        "mode": [rep.mode for rep in reports],
+        "mode_prob": [rep.mode_prob for rep in reports],
+        "mean": [rep.mean for rep in reports],
+        "variance": [rep.variance for rep in reports],
+    }
+    return columns, {"rho_star": result.rho_star, "jump_size": result.jump_size}
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
     draws = sample(cfg, args.count, args.seed)
-    manifest = RunManifest(
-        command="sample",
-        parameters={
-            "p": args.p,
-            "rho": args.rho,
-            "n": args.n,
-            "count": args.count,
-            "generator": GENERATOR_NAME,
-            "format": args.format,
-        },
-        seed=args.seed,
-    )
-    if args.format == "csv":
-        payload = _csv_rows(
-            ["draw_index", "l0", "loss"],
-            ((i, int(row[0]), int(row[1])) for i, row in enumerate(draws)),
-        )
-        _emit(payload, manifest, args.output, embedded=False)
-    else:
-        data = {
-            "draw_index": list(range(len(draws))),
-            "l0": [int(v) for v in draws[:, 0]],
-            "loss": [int(v) for v in draws[:, 1]],
-        }
-        _emit(_json_document(manifest, data), manifest, args.output, embedded=True)
-    return 0
+    columns = {"draw_index": np.arange(len(draws)), "l0": draws[:, 0],
+               "loss": draws[:, 1]}
+    return columns, {}
 
 
 # --- parser -------------------------------------------------------------------
@@ -277,14 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
     pmf = sub.add_parser("pmf", help="Emit the exact loss pmf (l, mass, log_mass).")
     _add_model_flags(pmf)
     _add_output_flags(pmf)
-    pmf.set_defaults(func=_cmd_pmf)
+    pmf.set_defaults(func=_cmd_pmf, manifest_keys=("p", "rho", "n", "format"))
 
     met = sub.add_parser("metrics", help="Emit VaR, mode, moments, peaks as JSON.")
     _add_model_flags(met)
     met.add_argument("--level", type=float, default=0.99,
                      help="VaR confidence level in (0,1) (default: %(default)s).")
     _add_output_flags(met, formats=("json",))
-    met.set_defaults(func=_cmd_metrics)
+    met.set_defaults(func=_cmd_metrics, manifest_keys=("p", "rho", "n", "level"))
 
     scan = sub.add_parser("scan", help="Sweep rho and emit per-point risk metrics.")
     _add_model_flags(scan, with_rho=False)
@@ -299,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Smallest adjacent mode change reported as a "
                            "discontinuity (default: %(default)s).")
     _add_output_flags(scan)
-    scan.set_defaults(func=_cmd_scan)
+    scan.set_defaults(func=_cmd_scan, manifest_keys=(
+        "p", "n", "points", "margin", "level", "jump_threshold", "format"))
 
     smp = sub.add_parser("sample", help="Draw (l0, loss) pairs with a seeded RNG.")
     _add_model_flags(smp)
@@ -308,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed; fully determines the stream "
                           "(default: %(default)s).")
     _add_output_flags(smp)
-    smp.set_defaults(func=_cmd_sample)
+    smp.set_defaults(func=_cmd_sample, generator=GENERATOR_NAME, manifest_keys=(
+        "p", "rho", "n", "count", "generator", "format"))
 
     return parser
 
@@ -317,10 +251,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except AdmissibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        table = args.func(args)
+        if table is not None:
+            manifest = RunManifest(
+                command=args.command,
+                parameters={key: getattr(args, key) for key in args.manifest_keys},
+                seed=getattr(args, "seed", None),
+            )
+            _emit(*table, manifest, args.format, args.output)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -81,11 +81,14 @@ def rho_bounds(p: float) -> RhoInterval:
     return RhoInterval(lower=lower, upper=1.0)
 
 
+def _joint_moment(p: float, rho: float) -> float:
+    return rho * p * (1.0 - p) + p * p
+
+
 def rho_to_q(p: float, rho: float) -> float:
     """Map the central correlation to the joint moment q = rho*p*(1-p) + p**2."""
-    _check_p(p)
     rho_bounds(p).require(rho, p)
-    q = rho * p * (1.0 - p) + p * p
+    q = _joint_moment(p, rho)
     if not (0.0 < q < p):
         raise AdmissibilityError(
             f"implied joint moment q={q!r} falls outside the open interval (0, p={p!r})"
@@ -120,18 +123,12 @@ class ModelConfig:
             raise AdmissibilityError(
                 f"n_credits={self.n_credits!r} must be an integer >= 2"
             )
-        _check_p(self.p)
-        rho_bounds(self.p).require(self.rho, self.p)
-        q = self.rho * self.p * (1.0 - self.p) + self.p * self.p
-        if not (0.0 < q < self.p):
-            raise AdmissibilityError(
-                f"implied q={q!r} outside (0, p={self.p!r}) for rho={self.rho!r}"
-            )
+        rho_to_q(self.p, self.rho)
 
     @property
     def q(self) -> float:
-        """Joint default moment E[L0*Li]."""
-        return self.rho * self.p * (1.0 - self.p) + self.p * self.p
+        """Joint default moment E[L0*Li]; __post_init__ already validated it."""
+        return _joint_moment(self.p, self.rho)
 
     @property
     def bounds(self) -> RhoInterval:

@@ -122,13 +122,25 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
 # is the invariant.
 
 
-def maxent_log_partition(theta, n: int) -> float:
-    """log Z(theta) by summing exp(theta . t(x)) over all 2^(n+1) states."""
+def _maxent_states(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """t(x) for all 2^(n+1) states as a (3, states) matrix, exp(theta . t(x) - m), m.
+
+    The states run over the 2^n leaf codes with l0 = 0, then with l0 = 1; the
+    shift m is the largest exponent, so no weight overflows.
+    """
     a0, a, b = (float(v) for v in theta)
     k = _bit_matrix(n).sum(axis=1)
     exponents = np.concatenate([a * k, a0 + (a + b) * k])
     m = exponents.max()
-    return float(m + np.log(np.exp(exponents - m).sum()))
+    l0 = np.concatenate([np.zeros_like(k), np.ones_like(k)])
+    kk = np.concatenate([k, k])
+    return np.stack([l0, kk, l0 * kk]), np.exp(exponents - m), m
+
+
+def maxent_log_partition(theta, n: int) -> float:
+    """log Z(theta) by summing exp(theta . t(x)) over all 2^(n+1) states."""
+    _, w, m = _maxent_states(theta, n)
+    return float(m + np.log(w.sum()))
 
 
 def maxent_moments(theta, n: int) -> np.ndarray:
@@ -136,30 +148,17 @@ def maxent_moments(theta, n: int) -> np.ndarray:
 
     These expectations are the analytic gradient of log Z(theta).
     """
-    a0, a, b = (float(v) for v in theta)
-    k = _bit_matrix(n).sum(axis=1)
-    exponents = np.concatenate([a * k, a0 + (a + b) * k])
-    m = exponents.max()
-    w = np.exp(exponents - m)
+    t, w, _ = _maxent_states(theta, n)
     w /= w.sum()
-    l0 = np.concatenate([np.zeros_like(k), np.ones_like(k)])
-    kk = np.concatenate([k, k])
-    return np.array([w @ l0, w @ kk, w @ (l0 * kk)])
+    # One dot per statistic: t @ w sums in another order and moves the fit ~1e-12.
+    return np.array([w @ row for row in t])
 
 
 def _maxent_covariance(theta, n: int) -> np.ndarray:
-    a0, a, b = (float(v) for v in theta)
-    k = _bit_matrix(n).sum(axis=1)
-    exponents = np.concatenate([a * k, a0 + (a + b) * k])
-    m = exponents.max()
-    w = np.exp(exponents - m)
+    t, w, _ = _maxent_states(theta, n)
     w /= w.sum()
-    l0 = np.concatenate([np.zeros_like(k), np.ones_like(k)])
-    kk = np.concatenate([k, k])
-    t = np.stack([l0, kk, l0 * kk])  # (3, states)
     mean = t @ w
-    second = (t * w) @ t.T
-    return second - np.outer(mean, mean)
+    return (t * w) @ t.T - np.outer(mean, mean)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,19 @@
 """End-to-end tests of the command-line interface: formats, exit codes, manifests."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dandelion_risk.cli import main
+from dandelion_risk import ModelConfig, loss_pmf, sample
+from dandelion_risk.cli import CSV_BLOCK_ROWS, main
+
+# More rows than two CSV blocks, ending part-way through the third.
+MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
 
 
 def run(capsys, *argv):
@@ -99,6 +105,26 @@ class TestPmfCommand:
         assert code == 3
         assert "cannot write" in err
 
+    def test_csv_rows_across_blocks(self, capsys):
+        n = MULTI_BLOCK_ROWS - 1
+        code, out, _ = run(capsys, "pmf", "--p", "0.4", "--rho", "-0.26", "--n", str(n))
+        assert code == 0
+        pmf = loss_pmf(ModelConfig(n_credits=n, p=0.4, rho=-0.26))
+        expected = ["l,mass,log_mass"] + [
+            f"{l},{m!r},{lm!r}" for l, (m, lm) in
+            enumerate(zip(pmf.mass.tolist(), pmf.log_mass.tolist()))
+        ]
+        assert out == "\n".join(expected) + "\n"
+
+    def test_domain_error_writes_no_file(self, tmp_path, capsys):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "pmf", "--p", "0.4", "--rho", "-0.7", "--n", "100",
+                           "--output", str(path))
+        assert code == 2
+        assert "lower bound" in err
+        assert not path.exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
     def test_outdir_env_var(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("DANDELION_RISK_OUTDIR", str(tmp_path))
         code = main(["pmf", "--p", "0.4", "--rho", "0", "--n", "5",
@@ -157,6 +183,16 @@ class TestScanCommand:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_no_jump_leaves_rho_star_empty(self, capsys):
+        argv = ["scan", "--p", "0.4", "--n", "100", "--jump-threshold", "1000"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["# rho_star = ", "# jump_size = 0"]
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert '"rho_star": null' in out
+        assert json.loads(out)["data"]["jump_size"] == 0
+
     def test_too_coarse_grid_exits_2(self, capsys):
         code, _, _ = run(capsys, "scan", "--p", "0.4", "--n", "100", "--points", "2")
         assert code == 2
@@ -184,6 +220,17 @@ class TestSampleCommand:
         header = path.read_text().splitlines()[0]
         assert header == "draw_index,l0,loss"
 
+    def test_csv_rows_across_blocks(self, capsys):
+        count = MULTI_BLOCK_ROWS
+        code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "-0.26", "--n", "100",
+                           "--count", str(count), "--seed", "3")
+        assert code == 0
+        draws = sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
+        expected = ["draw_index,l0,loss"] + [
+            f"{i},{l0},{loss}" for i, (l0, loss) in enumerate(draws.tolist())
+        ]
+        assert out == "\n".join(expected) + "\n"
+
     def test_zero_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "sample", "--p", "0.4", "--rho", "0.1", "--n", "10",
                          "--count", "0")
@@ -210,3 +257,22 @@ def test_console_help_smoke(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "calibrate" in out and "scan" in out
+
+
+def test_reproduce_figures_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+    spec = importlib.util.spec_from_file_location("reproduce_figures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.run(tmp_path) == 0
+    names = ["fig1_pmf_pos.csv", "fig1_pmf_neg.csv", "fig2to4_scan.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        names + [name + ".manifest.json" for name in names]
+    )
+    footer = dict(
+        line.removeprefix("scan ").split(" = ")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("scan ")
+    )
+    assert float(footer["rho_star"]) == pytest.approx(-0.461745, abs=1e-6)
+    assert int(footer["jump_size"]) == 46

@@ -28,8 +28,8 @@ from .oracle import GENERATOR_NAME, sample
 
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
-# CSV rows are formatted and written this many at a time, so the memory the
-# writer holds does not grow with the row count.
+# CSV rows and JSON column values are formatted and written this many at a
+# time, so the memory the writer holds does not grow with the row count.
 CSV_BLOCK_ROWS = 65536
 
 
@@ -75,6 +75,28 @@ def _csv_chunks(columns: dict, extras: dict):
         yield f"# {key} = {'' if value is None else _fmt(value)}\n"
 
 
+def _json_chunks(columns: dict, extras: dict, manifest: RunManifest):
+    """Yield the JSON document in pieces, each column a block at a time.
+
+    The pieces join to `json.dumps({"data": {**columns, **extras}, "manifest":
+    ...}, sort_keys=True)` plus a newline, so only the memory use changes.
+    """
+    data = {**columns, **extras}
+    yield '{"data": {'
+    for i, key in enumerate(sorted(data)):
+        yield (", " if i else "") + json.dumps(key) + ": "
+        if key in extras:
+            yield json.dumps(extras[key], sort_keys=True)
+            continue
+        yield "["
+        col = np.asarray(columns[key])
+        for start in range(0, len(col), CSV_BLOCK_ROWS):
+            block = json.dumps(col[start:start + CSV_BLOCK_ROWS].tolist())[1:-1]
+            yield (", " if start else "") + block
+        yield "]"
+    yield '}, "manifest": ' + manifest.to_json() + "}\n"
+
+
 def _emit(columns: dict, extras: dict, manifest: RunManifest, fmt: str,
           output: str | None) -> None:
     """Write one result table as CSV or JSON with its run manifest.
@@ -84,9 +106,7 @@ def _emit(columns: dict, extras: dict, manifest: RunManifest, fmt: str,
     go to stdout.
     """
     if fmt == "json":
-        data = {name: np.asarray(col).tolist() for name, col in columns.items()}
-        document = {"manifest": asdict(manifest), "data": {**data, **extras}}
-        chunks, sidecar = [json.dumps(document, sort_keys=True) + "\n"], None
+        chunks, sidecar = _json_chunks(columns, extras, manifest), None
     else:
         chunks, sidecar = _csv_chunks(columns, extras), manifest.to_json() + "\n"
     if output is None:

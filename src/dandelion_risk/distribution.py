@@ -198,16 +198,15 @@ def peak_indices(mass: np.ndarray) -> list[int]:
     no constraint, so a strictly decreasing pmf has its single peak at 0.
     """
     mass = np.asarray(mass)
-    n = len(mass) - 1
-    peaks: list[int] = []
-    i = 0
-    while i <= n:
-        j = i
-        while j < n and mass[j + 1] == mass[i]:
-            j += 1
-        left_ok = i == 0 or mass[i - 1] < mass[i]
-        right_ok = j == n or mass[j + 1] < mass[i]
-        if left_ok and right_ok:
-            peaks.append(i)
-        i = j + 1
-    return peaks
+    # A flat run starts at index 0 and wherever the mass differs from the one
+    # before it; NaN differs from everything, so each NaN is a run of its own.
+    new_run = np.ones(len(mass), dtype=bool)
+    new_run[1:] = mass[1:] != mass[:-1]
+    starts = np.flatnonzero(new_run)
+    runs = mass[starts]
+    above_left = np.ones(len(runs), dtype=bool)
+    above_left[1:] = runs[1:] > runs[:-1]
+    above_right = np.ones(len(runs), dtype=bool)
+    above_right[:-1] = runs[:-1] > runs[1:]
+    # tolist() gives Python ints, so a report's repr and JSON show plain ints.
+    return starts[above_left & above_right].tolist()

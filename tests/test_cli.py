@@ -16,6 +16,15 @@ from dandelion_risk.cli import CSV_BLOCK_ROWS, main
 MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
 
 
+def assert_json_document(out, data):
+    """`out` is exactly json.dumps of `data` with the manifest it embeds."""
+    expected = json.dumps({"manifest": json.loads(out)["manifest"], "data": data},
+                          sort_keys=True) + "\n"
+    # Split so that a failure names the first differing item instead of
+    # diffing one multi-megabyte line.
+    assert out.split(", ") == expected.split(", ")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -115,6 +124,16 @@ class TestPmfCommand:
             enumerate(zip(pmf.mass.tolist(), pmf.log_mass.tolist()))
         ]
         assert out == "\n".join(expected) + "\n"
+
+    def test_json_rows_across_blocks(self, capsys):
+        n = MULTI_BLOCK_ROWS - 1
+        code, out, _ = run(capsys, "pmf", "--p", "0.4", "--rho", "-0.26", "--n", str(n),
+                           "--format", "json")
+        assert code == 0
+        pmf = loss_pmf(ModelConfig(n_credits=n, p=0.4, rho=-0.26))
+        data = {"l": list(range(n + 1)), "mass": pmf.mass.tolist(),
+                "log_mass": pmf.log_mass.tolist()}
+        assert_json_document(out, data)
 
     def test_domain_error_writes_no_file(self, tmp_path, capsys):
         path = tmp_path / "x.csv"
@@ -230,6 +249,16 @@ class TestSampleCommand:
             f"{i},{l0},{loss}" for i, (l0, loss) in enumerate(draws.tolist())
         ]
         assert out == "\n".join(expected) + "\n"
+
+    def test_json_rows_across_blocks(self, capsys):
+        count = MULTI_BLOCK_ROWS
+        code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "-0.26", "--n", "100",
+                           "--count", str(count), "--seed", "3", "--format", "json")
+        assert code == 0
+        draws = sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
+        data = {"draw_index": list(range(count)), "l0": draws[:, 0].tolist(),
+                "loss": draws[:, 1].tolist()}
+        assert_json_document(out, data)
 
     def test_zero_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "sample", "--p", "0.4", "--rho", "0.1", "--n", "10",

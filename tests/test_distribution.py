@@ -23,7 +23,7 @@ from dandelion_risk import (
     rho_noncentral,
 )
 
-from conftest import oracle_mixture_pmf, rho_at
+from conftest import oracle_mixture_pmf, oracle_peak_indices, rho_at
 
 
 def test_loss_pmf_container_validates():
@@ -272,3 +272,14 @@ class TestPeakIndices:
 
     def test_constant_counts_once(self):
         assert peak_indices(np.full(5, 0.2)) == [0]
+
+    # A small alphabet makes plateaus, ties at either end and NaN/inf runs
+    # common, where the run bookkeeping is easiest to get wrong.
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, np.inf, -np.inf, np.nan]),
+                    min_size=0, max_size=40))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_scalar_walk_oracle(self, values):
+        mass = np.array(values, dtype=np.float64)
+        peaks = peak_indices(mass)
+        assert peaks == oracle_peak_indices(mass)
+        assert all(type(i) is int for i in peaks)

@@ -171,3 +171,12 @@ class TestScanRho:
         for rho in (-0.26, 0.26):
             rep = risk_report(loss_pmf(ModelConfig(100, 0.4, rho)))
             assert len(rep.peaks) == 2
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_reports_equal_single_point_reports(self, p):
+        # The scan evaluates each grid point through the single-point path, so
+        # every report, peaks and moments included, matches it to the last bit.
+        res = scan_rho(p, 2000, GridSpec(count=51))
+        for rho, report in zip(res.rho_grid, res.reports, strict=True):
+            cfg = ModelConfig(2000, p, float(rho))
+            assert report == risk_report(loss_pmf(cfg), 0.99)

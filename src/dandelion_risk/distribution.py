@@ -9,27 +9,75 @@ whose two branches are, after normalization, a pair of binomials: conditioning
 on the central node's state makes the leaves i.i.d. Bernoulli.  That binomial
 mixture restatement is exposed as :class:`MixtureForm` and serves as the
 cross-check oracle for the log-space evaluation.
+
+The kernel skips transcendental work whose result is already known in double
+precision, so its output is bit-for-bit that of the full-array formulas:
+
+* The branch gap alpha0 + beta*l is linear in l.  Where it exceeds
+  ``LSE_GAP`` = 800 in magnitude, exp(-gap) underflows to exactly 0.0 and
+  ``np.logaddexp`` returns the larger branch, so it runs only on the one
+  window of l (about 1600/|beta| wide) where the gap is smaller.
+* ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
+  the linear view exponentiates only the entries above it.
+* log C(N, l) comes from one prefix of log-factorials shared by every N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
 
 from .core_model import CalibratedParams, ModelConfig, calibrate, conditional_probs
 
+# np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
+# exactly 0.0 for d > 745.14; past this gap it returns the larger term.
+LSE_GAP = 800.0
+# exp(t) is exactly 0.0 for t < -745.14.
+EXP_FLOOR = -746.0
 
-@lru_cache(maxsize=64)
+# log k! = gammaln(k + 1.0) for k = 0, 1, ...; grown on demand, read-only.
+# Readers take it once into a local; if two threads grow it at once, the last
+# write wins and is still a valid prefix.
+_log_factorials = np.zeros(0)
+
+
 def _log_binom_table(n: int) -> np.ndarray:
-    """log C(n, l) for l = 0..n via log-gamma; factorials would overflow near n=100."""
-    l = np.arange(n + 1, dtype=np.float64)
-    table = gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(n - l + 1.0)
-    table.flags.writeable = False
+    """log C(n, l) for l = 0..n as log n! - log l! - log (n-l)!, a fresh array.
+
+    The log-factorials come from one shared prefix, at least doubled whenever
+    n outgrows it, so its length stays below 2*(n + 1) for the largest n
+    asked; factorials themselves would overflow near n=170.
+    """
+    global _log_factorials
+    g = _log_factorials
+    if len(g) <= n:
+        k = np.arange(len(g), max(n + 1, 2 * len(g)), dtype=np.float64)
+        g = np.concatenate((g, gammaln(k + 1.0)))
+        g.flags.writeable = False
+        _log_factorials = g
+    table = g[n] - g[: n + 1]
+    table -= g[n::-1]
     return table
+
+
+def _logaddexp_window(alpha0: float, beta: float, n: int) -> tuple[int, int]:
+    """Slice [lo, hi) of {0..n} where the branch gap |alpha0 + beta*l| < LSE_GAP.
+
+    The gap is linear in l, so the slice is the integers strictly between
+    two closed-form ends.  The ends are clamped as floats before they become
+    ints, because a subnormal beta puts them at +-inf; at beta = 0 the gap is
+    alpha0 everywhere.
+    """
+    if beta == 0.0:
+        return (0, n + 1) if abs(alpha0) < LSE_GAP else (0, 0)
+    a, b = sorted(((-LSE_GAP - alpha0) / beta, (LSE_GAP - alpha0) / beta))
+    lo = math.floor(min(max(a, -1.0), n)) + 1
+    hi = math.ceil(min(max(b, 0.0), n + 1.0))
+    return lo, max(hi, lo)
 
 
 @dataclass(frozen=True)
@@ -38,8 +86,10 @@ class LossPmf:
 
     The linear-space view `mass` is exp(log_mass) elementwise.  log_mass is
     always finite; masses below ~1e-308 underflow to 0.0 in the linear view,
-    which can happen between the two branches very close to the admissible
-    correlation boundary.
+    which happens in the far tails and, very close to the admissible
+    correlation boundary, between the two branches.  `exp` runs only on the
+    entries above EXP_FLOOR = -746; every other entry is exactly 0.0, as exp
+    would give.
     """
 
     n: int
@@ -59,7 +109,8 @@ class LossPmf:
 
     @cached_property
     def mass(self) -> np.ndarray:
-        out = np.exp(self.log_mass)
+        out = np.zeros(self.n + 1)
+        np.exp(self.log_mass, out=out, where=self.log_mass > EXP_FLOOR)
         out.flags.writeable = False
         return out
 
@@ -113,15 +164,29 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     """Exact pmf of the loss count L = L1 + ... + LN (central node excluded).
 
     log_mass[l] = log C(N,l) + logaddexp(alpha*l, alpha0 + l*(alpha+beta)) - log_z.
+
+    logaddexp runs only on the window of l where the branch gap
+    |alpha0 + beta*l| is below LSE_GAP = 800; elsewhere it would return the
+    larger branch exactly, so that is taken directly.  Near rho = 0, where
+    beta ~ 0, the window is the whole support.
     """
     params = calibrate(cfg)
     n = cfg.n_credits
     l = np.arange(n + 1, dtype=np.float64)
-    branches = np.logaddexp(
-        params.alpha * l,
-        params.alpha0 + (params.alpha + params.beta) * l,
-    )
-    return LossPmf(n=n, log_mass=_log_binom_table(n) + branches - params.log_z)
+    x = params.alpha * l
+    y = params.alpha0 + (params.alpha + params.beta) * l
+    lo, hi = _logaddexp_window(params.alpha0, params.beta, n)
+    if hi - lo == n + 1:
+        branches = np.logaddexp(x, y)
+    else:
+        branches = np.maximum(x, y)
+        np.logaddexp(x[lo:hi], y[lo:hi], out=branches[lo:hi])
+    # At l = 0 with alpha < 0 the max is -0.0 where logaddexp gives +0.0;
+    # the table entry there is +0.0, so the sums agree.
+    log_mass = _log_binom_table(n)
+    log_mass += branches
+    log_mass -= params.log_z
+    return LossPmf(n=n, log_mass=log_mass)
 
 
 @dataclass(frozen=True)
@@ -141,6 +206,10 @@ class MixtureForm:
 
     def loss_pmf(self, n: int) -> np.ndarray:
         """Expand to the linear-space pmf on {0, ..., n} via scipy binomials."""
+        # Imported here, its only use: scipy.stats takes longer to import
+        # than the rest of the package together.
+        from scipy import stats
+
         l = np.arange(n + 1)
         return self.weight1 * stats.binom.pmf(l, n, self.rate1) + (
             self.weight2 * stats.binom.pmf(l, n, self.rate2)

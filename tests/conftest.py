@@ -2,11 +2,17 @@
 
 The oracles here recompute everything from first principles (q from rho, the
 two conditional rates, scipy binomials) so that package results are checked
-against a route that shares no code with the log-space implementation.
+against a route that shares no code with the log-space implementation.  The
+exception is `oracle_loss_pmf_full`: it pins the bytes of the package's
+loss kernel, not its mathematics, so it starts from the package's own
+calibration and applies the kernel's formulas to every entry.
 """
 
 import numpy as np
 from scipy import stats
+from scipy.special import gammaln
+
+from dandelion_risk import calibrate
 
 
 def lower_bound(p: float) -> float:
@@ -48,3 +54,26 @@ def oracle_peak_indices(mass) -> list[int]:
             peaks.append(i)
         i = j + 1
     return peaks
+
+
+def oracle_log_binom_table(n: int) -> np.ndarray:
+    """log C(n, l) for l = 0..n by three log-gamma passes."""
+    l = np.arange(n + 1, dtype=np.float64)
+    return gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(n - l + 1.0)
+
+
+def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """(log_mass, mass) by the full-array formulas, with no entry skipped.
+
+    logaddexp and exp run on every entry; the package skips entries whose
+    result is known, and must agree with this byte for byte.
+    """
+    params = calibrate(cfg)
+    n = cfg.n_credits
+    l = np.arange(n + 1, dtype=np.float64)
+    branches = np.logaddexp(
+        params.alpha * l,
+        params.alpha0 + (params.alpha + params.beta) * l,
+    )
+    log_mass = oracle_log_binom_table(n) + branches - params.log_z
+    return log_mass, np.exp(log_mass)

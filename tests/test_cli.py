@@ -2,13 +2,17 @@
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import dandelion_risk
 from dandelion_risk import ModelConfig, loss_pmf, sample
 from dandelion_risk.cli import CSV_BLOCK_ROWS, main
 
@@ -286,6 +290,18 @@ def test_console_help_smoke(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "calibrate" in out and "scan" in out
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes longer to import than the rest of the package; only
+    # MixtureForm.loss_pmf needs it, and imports it when called.
+    src = str(Path(dandelion_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, dandelion_risk.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_reproduce_figures_script(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,22 @@ from dandelion_risk import (
     peak_indices,
     rho_noncentral,
 )
+from dandelion_risk import distribution
+from dandelion_risk.distribution import (
+    EXP_FLOOR,
+    LSE_GAP,
+    _log_binom_table,
+    _logaddexp_window,
+)
 
-from conftest import oracle_mixture_pmf, oracle_peak_indices, rho_at
+from conftest import (
+    lower_bound,
+    oracle_log_binom_table,
+    oracle_loss_pmf_full,
+    oracle_mixture_pmf,
+    oracle_peak_indices,
+    rho_at,
+)
 
 
 def test_loss_pmf_container_validates():
@@ -154,6 +169,107 @@ class TestLossPmf:
         for bits in itertools.product((0, 1), repeat=n):
             sums[sum(bits)] += math.exp(marginal_noncentral_log_prob(prm, bits))
         assert np.abs(pmf.mass - sums).max() < 1e-10
+
+
+@st.composite
+def kernel_configs(draw):
+    """N log-uniform on 2..10**5; rho near a bound, at or near 0, or interior."""
+    n = round(math.exp(draw(st.floats(math.log(2), math.log(1e5)))))
+    p = draw(st.floats(0.02, 0.98))
+    d = draw(st.floats(1e-9, 1e-6))
+    rho = draw(st.sampled_from([
+        lower_bound(p) + d, 1.0 - d, d, -d, 0.0, 5e-324, -5e-324,
+        rho_at(p, draw(st.floats(0.001, 0.999))),
+    ]))
+    return ModelConfig(n_credits=n, p=p, rho=rho)
+
+
+class TestSkippedWork:
+    """The kernel skips logaddexp and exp where their bits are known; the
+    output must stay byte-identical to the full-array formulas."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=kernel_configs())
+    def test_bytes_equal_full_formulas(self, cfg):
+        log_mass, mass = oracle_loss_pmf_full(cfg)
+        pmf = loss_pmf(cfg)
+        assert pmf.log_mass.tobytes() == log_mass.tobytes()
+        assert pmf.mass.tobytes() == mass.tobytes()
+
+    @pytest.mark.parametrize(
+        "rho", [-2.0 / 3.0 + 1e-9, -0.5, 0.0, 5e-324, -5e-324, 0.3, 1.0 - 1e-9]
+    )
+    def test_bytes_equal_full_formulas_at_a_million(self, rho):
+        cfg = ModelConfig(n_credits=10**6, p=0.4, rho=rho)
+        log_mass, mass = oracle_loss_pmf_full(cfg)
+        pmf = loss_pmf(cfg)
+        assert pmf.log_mass.tobytes() == log_mass.tobytes()
+        assert pmf.mass.tobytes() == mass.tobytes()
+
+    def test_mass_around_exp_floor(self):
+        # Spans the subnormal results just above the floor and the exact
+        # zeros below it.
+        log_mass = np.linspace(EXP_FLOOR - 30.0, -690.0, 2001)
+        pmf = LossPmf(n=2000, log_mass=log_mass)
+        assert pmf.mass.tobytes() == np.exp(log_mass).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha0=st.floats(-1e4, 1e4),
+        beta=st.one_of(
+            st.floats(-2000.0, 2000.0),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        ),
+        n=st.integers(2, 3000),
+    )
+    def test_window_is_where_the_gap_is_small(self, alpha0, beta, n):
+        lo, hi = _logaddexp_window(alpha0, beta, n)
+        assert 0 <= lo <= hi <= n + 1
+        assert type(lo) is int and type(hi) is int
+        gap = np.abs(alpha0 + beta * np.arange(n + 1.0))
+        inside = np.zeros(n + 1, dtype=bool)
+        inside[lo:hi] = True
+        # The tolerance covers rounding of the gap and of the window ends.
+        tol = 1e-9 * (1.0 + abs(alpha0) + abs(beta) * n)
+        # Skipped entries are past the gap where logaddexp returns the max ...
+        assert np.all(gap[~inside] >= LSE_GAP - tol)
+        # ... and no entry is computed that could have been skipped.
+        assert np.all(gap[inside] < LSE_GAP + tol)
+
+
+class TestLogBinomTable:
+    NS = [2, 17, 1000, 99_999, 10**6]
+
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_bytes_equal_three_gammaln_formula(self, monkeypatch, order):
+        monkeypatch.setattr(distribution, "_log_factorials", np.zeros(0))
+        ns = self.NS if order == "rising" else self.NS[::-1]
+        # The second pass asks every n of a prefix grown past it.
+        for n in ns + ns:
+            table = _log_binom_table(n)
+            assert table.tobytes() == oracle_log_binom_table(n).tobytes()
+
+    def test_one_prefix_for_many_n(self, monkeypatch):
+        monkeypatch.setattr(distribution, "_log_factorials", np.zeros(0))
+        ns = np.unique(np.geomspace(2, 20_000, 400).astype(int))[-200:]
+        assert len(ns) == 200
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in ns:
+                _log_binom_table(int(n))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        prefix = distribution._log_factorials
+        assert len(prefix) <= 2 * (ns.max() + 1)
+        # Caching even a few of the 200 tables would keep far more than this.
+        assert kept <= prefix.nbytes + 64 * 1024
+
+    def test_returned_table_is_a_fresh_array(self):
+        table = _log_binom_table(50)
+        table[:] = 0.0
+        assert _log_binom_table(50).tobytes() == oracle_log_binom_table(50).tobytes()
 
 
 class TestMixtureForm:

@@ -7,6 +7,8 @@ correlation range including negative central correlations.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core_model import (
     EPS_BOUND,
     AdmissibilityError,
@@ -54,43 +56,6 @@ from .oracle import (
     sample,
 )
 
-__all__ = [
-    "EPS_BOUND",
-    "AdmissibilityError",
-    "CalibratedParams",
-    "ModelConfig",
-    "RhoInterval",
-    "calibrate",
-    "conditional_probs",
-    "q_to_rho",
-    "rho_bounds",
-    "rho_to_q",
-    "LossPmf",
-    "MixtureForm",
-    "joint_log_prob",
-    "loss_moments",
-    "loss_pmf",
-    "marginal_noncentral_log_prob",
-    "mixture_form",
-    "pair_moment",
-    "peak_indices",
-    "rho_noncentral",
-    "GridSpec",
-    "RiskReport",
-    "ScanResult",
-    "mode_of",
-    "risk_report",
-    "scan_rho",
-    "value_at_risk",
-    "GENERATOR_NAME",
-    "MAX_ENUM_N",
-    "MAX_FIT_N",
-    "EnumerationReport",
-    "MaxEntConvergenceError",
-    "MaxEntFit",
-    "enumerate_model",
-    "maxent_fit_small",
-    "maxent_log_partition",
-    "maxent_moments",
-    "sample",
-]
+# The names imported above; the submodules those imports bind are left out.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -286,7 +286,3 @@ def main(argv=None) -> int:
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -45,20 +45,16 @@ class RhoInterval:
     lower: float
     upper: float
 
-    def contains(self, rho: float, eps: float = EPS_BOUND) -> bool:
-        """True if rho is inside the open interval, at least eps from each end."""
-        return (rho - self.lower) > eps and (self.upper - rho) > eps
-
-    def require(self, rho: float, p: float, eps: float = EPS_BOUND) -> None:
+    def require(self, rho: float, p: float) -> None:
         if not math.isfinite(rho):
             raise AdmissibilityError(f"rho={rho!r} is not finite")
-        if rho - self.lower <= eps:
+        if rho - self.lower <= EPS_BOUND:
             raise AdmissibilityError(
                 f"rho={rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
                 f"= {self.lower!r} at p={p!r}; admissible open interval is "
                 f"({self.lower!r}, {self.upper!r})"
             )
-        if self.upper - rho <= eps:
+        if self.upper - rho <= EPS_BOUND:
             raise AdmissibilityError(
                 f"rho={rho!r} violates the upper bound 1; admissible open "
                 f"interval is ({self.lower!r}, {self.upper!r})"
@@ -129,10 +125,6 @@ class ModelConfig:
     def q(self) -> float:
         """Joint default moment E[L0*Li]; __post_init__ already validated it."""
         return _joint_moment(self.p, self.rho)
-
-    @property
-    def bounds(self) -> RhoInterval:
-        return rho_bounds(self.p)
 
 
 @dataclass(frozen=True)

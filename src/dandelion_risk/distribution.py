@@ -6,9 +6,9 @@ so its support is {0, ..., N}.  The loss pmf has the closed form
     P(L = l) = (1/Z) * C(N, l) * ( e^(alpha*l) + e^(alpha0 + l*(alpha+beta)) )
 
 whose two branches are, after normalization, a pair of binomials: conditioning
-on the central node's state makes the leaves i.i.d. Bernoulli.  That binomial
-mixture restatement is exposed as :class:`MixtureForm` and serves as the
-cross-check oracle for the log-space evaluation.
+on the central node's state makes the leaves i.i.d. Bernoulli.  Their weights
+and rates are :class:`MixtureForm`; the scipy expansion of that mixture in
+``tests/conftest.py`` is the cross-check oracle for the log-space kernel.
 
 The kernel skips transcendental work whose result is already known in double
 precision, so its output is bit-for-bit that of the full-array formulas:
@@ -96,14 +96,13 @@ class LossPmf:
     log_mass: np.ndarray
 
     def __post_init__(self) -> None:
-        lm = np.asarray(self.log_mass, dtype=np.float64)
+        lm = np.array(self.log_mass, dtype=np.float64)
         if lm.shape != (self.n + 1,):
             raise ValueError(
                 f"log_mass has shape {lm.shape}, expected ({self.n + 1},)"
             )
         if not np.all(np.isfinite(lm)):
             raise ValueError("log_mass entries must all be finite")
-        lm = lm.copy()
         lm.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
 
@@ -113,10 +112,6 @@ class LossPmf:
         np.exp(self.log_mass, out=out, where=self.log_mass > EXP_FLOOR)
         out.flags.writeable = False
         return out
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.n + 1)
 
 
 def _bit_vector(l, n: int) -> np.ndarray:
@@ -196,24 +191,13 @@ class MixtureForm:
     Conditioning on the central node splits the leaves into i.i.d. Bernoulli
     draws: weight1 = P(L0=0) = 1-p at per-leaf rate (p-q)/(1-p), and
     weight2 = P(L0=1) = p at rate q/p.  Expanding the mixture reproduces the
-    loss pmf elementwise and is the primary cross-check for it.
+    loss pmf elementwise.
     """
 
     weight1: float
     rate1: float
     weight2: float
     rate2: float
-
-    def loss_pmf(self, n: int) -> np.ndarray:
-        """Expand to the linear-space pmf on {0, ..., n} via scipy binomials."""
-        # Imported here, its only use: scipy.stats takes longer to import
-        # than the rest of the package together.
-        from scipy import stats
-
-        l = np.arange(n + 1)
-        return self.weight1 * stats.binom.pmf(l, n, self.rate1) + (
-            self.weight2 * stats.binom.pmf(l, n, self.rate2)
-        )
 
 
 def mixture_form(cfg: ModelConfig) -> MixtureForm:

@@ -48,7 +48,6 @@ class EnumerationReport:
     it equals 1 only if the two-branch formula for Z is right.
     """
 
-    n: int
     moments: tuple[float, float, float, float]
     loss_pmf_bf: np.ndarray
     total_mass: float
@@ -88,7 +87,6 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
         moments[3] += w @ (bits[:, 0] * bits[:, 1])
     total = math.fsum(float(x) for chunk in chunks for x in chunk)
     return EnumerationReport(
-        n=n,
         moments=tuple(moments),
         loss_pmf_bf=pmf,
         total_mass=total,

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface: formats, exit codes, manifests."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -293,15 +294,40 @@ def test_console_help_smoke(capsys):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes longer to import than the rest of the package; only
-    # MixtureForm.loss_pmf needs it, and imports it when called.
+    # scipy.stats takes longer to import than the rest of the package, and
+    # nothing in the package uses it: neither the import nor a call loads it.
     src = str(Path(dandelion_risk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, dandelion_risk.cli; print('scipy.stats' in sys.modules)"
+    probe = """
+import sys
+import dandelion_risk as dr
+import dandelion_risk.cli
+cfg = dr.ModelConfig(6, 0.4, -0.26)
+dr.mixture_form(cfg)
+dr.risk_report(dr.loss_pmf(cfg))
+dr.scan_rho(0.4, 6, dr.GridSpec(count=3))
+dr.sample(cfg, 10, seed=1)
+dr.enumerate_model(cfg)
+dr.maxent_fit_small(0.4, cfg.q, 6)
+print('scipy.stats' in sys.modules)
+"""
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_star_import_binds_the_imported_names():
+    # The names listed by every `from .x import (...)` in __init__.py.
+    init = Path(dandelion_risk.__file__)
+    imported = [alias.name for node in ast.parse(init.read_text()).body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    namespace = {}
+    exec("from dandelion_risk import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(imported)
+    assert dandelion_risk.__all__ == imported
 
 
 def test_reproduce_figures_script(tmp_path, capsys):

@@ -295,21 +295,18 @@ class TestMixtureForm:
                 assert m.weight1 + m.weight2 == pytest.approx(1.0, abs=1e-15)
                 assert 0.0 < m.rate1 < 1.0 and 0.0 < m.rate2 < 1.0
 
-    @pytest.mark.parametrize("p", [0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9])
-    @pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.7, 0.95])
-    @pytest.mark.parametrize("n", [5, 100])
-    def test_mixture_equals_loss_pmf(self, p, t, n):
-        # 70-triple grid; the mixture expansion is the cross-check oracle.
-        cfg = ModelConfig(n_credits=n, p=p, rho=rho_at(p, t))
-        direct = loss_pmf(cfg).mass
-        mixed = mixture_form(cfg).loss_pmf(n)
-        assert np.abs(direct - mixed).max() < 1e-12
-
-    def test_matches_scipy_only_oracle(self):
-        cfg = ModelConfig(n_credits=100, p=0.4, rho=-0.26)
-        assert np.abs(
-            loss_pmf(cfg).mass - oracle_mixture_pmf(0.4, -0.26, 100)
-        ).max() < 1e-12
+    @pytest.mark.parametrize("n, p, rho", [
+        # A 70-point grid at rho = rho_at(p, t), ids n-t-p, and one more case.
+        *(pytest.param(n, p, rho_at(p, t), id=f"{n}-{t}-{p}")
+          for p in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)
+          for t in (0.05, 0.3, 0.5, 0.7, 0.95)
+          for n in (5, 100)),
+        pytest.param(100, 0.4, -0.26, id="100-rho=-0.26-0.4"),
+    ])
+    def test_mixture_equals_loss_pmf(self, n, p, rho):
+        # The scipy-only mixture expansion is the cross-check oracle.
+        direct = loss_pmf(ModelConfig(n_credits=n, p=p, rho=rho)).mass
+        assert np.abs(direct - oracle_mixture_pmf(p, rho, n)).max() < 1e-12
 
 
 class TestPairMomentAndLeafCorrelation:

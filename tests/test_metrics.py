@@ -1,8 +1,11 @@
 """Tests for VaR, mode, risk reports, and the correlation scan."""
 
+from itertools import accumulate
+
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -18,6 +21,8 @@ from dandelion_risk import (
     value_at_risk,
 )
 
+from conftest import lower_bound, rho_at
+
 # Frozen by two independent routes: a scipy-only binomial-mixture sweep and a
 # 50+ digit direct evaluation of the closed-form pmf.  The argmax of the loss
 # pmf at (p=0.4, N=100) switches branches at rho = -0.45873; on the default
@@ -27,6 +32,31 @@ TRANSITION_JUMP = 46
 MODES_AROUND_JUMP = (12, 58)
 VAR99_POS_026 = 65
 VAR99_NEG_026 = 61
+
+# The benchmark's point-query levels, plus 0.01 and 0.5 for the left-hand rule.
+VAR_LEVELS = (0.01, 0.5, 0.9, 0.95, 0.99, 0.995, 0.999, 0.9999,
+              1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15)
+
+
+def mp_tails(p: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P(L <= l), P(L > l)) for l = 0..n, summed at 60 digits and then rounded.
+
+    The law is the two-branch binomial mixture with weights 1-p and p and
+    rates p*(1-rho) and p + rho*(1-p), exact for the binary values of p and
+    rho; each branch comes from the ratio of consecutive binomial terms.
+    """
+    with mpmath.workdps(60):
+        P, R = mpmath.mpf(p), mpmath.mpf(rho)
+        mass = [mpmath.mpf(0)] * (n + 1)
+        for weight, rate in ((1 - P, P * (1 - R)), (P, P + R * (1 - P))):
+            term, ratio = weight * (1 - rate) ** n, rate / (1 - rate)
+            for l in range(n + 1):
+                mass[l] += term
+                term = term * ratio * (n - l) / (l + 1)
+        cdf = list(accumulate(mass))
+        tail = list(accumulate(mass[:0:-1]))[::-1] + [mpmath.mpf(0)]
+        return (np.array([float(x) for x in cdf]),
+                np.array([float(x) for x in tail]))
 
 
 class TestValueAtRisk:
@@ -39,6 +69,11 @@ class TestValueAtRisk:
         # Heavy upper tail: mass at N is ~3.6e-3, far above the level gap.
         pmf = loss_pmf(ModelConfig(10, 0.4, -0.5))
         assert value_at_risk(pmf, 1.0 - 1e-9) == 10
+
+    def test_level_met_exactly_on_either_side(self):
+        # P(L <= l) = (l + 1)/4 exactly, so each level is met exactly at l.
+        pmf = LossPmf(n=3, log_mass=np.full(4, np.log(0.25)))
+        assert [value_at_risk(pmf, level) for level in (0.25, 0.5, 0.75)] == [0, 1, 2]
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_bad_level(self, level):
@@ -55,6 +90,51 @@ class TestValueAtRisk:
         pmf = loss_pmf(ModelConfig(30, 0.35, -0.2))
         lo, hi = sorted((a, b))
         assert value_at_risk(pmf, lo) <= value_at_risk(pmf, hi)
+
+    @given(
+        n=st.integers(2, 300),
+        p=st.sampled_from([0.5]) | st.floats(0.02, 0.98),
+        t=st.floats(1e-6, 1 - 1e-6),
+        levels=st.lists(
+            st.sampled_from([0.5, np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0),
+                             1 - 1e-15, 1e-15])
+            | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=2, max_size=2),
+    )
+    # A symmetric law: summed from the left, P(L <= 4) falls just short of
+    # 0.5, and summed from the right, P(L > 4) just short of 0.5 too.
+    @example(n=9, p=0.5, t=0.5, levels=[0.5, np.nextafter(0.5, 1.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_monotone_across_the_switch_and_in_support(self, n, p, t, levels):
+        pmf = loss_pmf(ModelConfig(n, p, rho_at(p, t)))
+        lo, hi = sorted(levels)
+        assert 0 <= value_at_risk(pmf, lo) <= value_at_risk(pmf, hi) <= n
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    @pytest.mark.parametrize("p, rho", [
+        (p, rho)
+        for p, inside in ((0.1, -0.05), (0.4, -0.26), (0.7, 0.3))
+        for rho in (lower_bound(p) + 1e-6, inside, 1 - 1e-6)
+    ])
+    def test_error_budget_against_mpmath(self, n, p, rho):
+        # The budget in value_at_risk's docstring: both summed tails within
+        # a relative delta of the exact ones, and VaR exact up to delta.
+        pmf = loss_pmf(ModelConfig(n, p, rho))
+        cdf, tail = mp_tails(p, rho, n)
+        delta = 1e-14 * (n + 1) + 1e-12
+        for ours, exact in ((np.cumsum(pmf.mass), cdf),
+                            (np.cumsum(pmf.mass[::-1])[::-1][1:], tail[:-1])):
+            normal = exact > 1e-290
+            assert np.all(np.abs(ours - exact)[normal] <= delta * exact[normal])
+        for level in VAR_LEVELS:
+            v = value_at_risk(pmf, level)
+            if level > 0.5:
+                a = 1.0 - level
+                assert tail[v] <= a * (1 + delta), level
+                assert v == 0 or tail[v - 1] > a * (1 - delta), level
+            else:
+                assert cdf[v] >= level * (1 - delta), level
+                assert v == 0 or cdf[v - 1] < level * (1 + delta), level
 
     @pytest.mark.parametrize("level", [0.1, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("rho", [-0.4, 0.0, 0.3])

@@ -23,12 +23,10 @@ from .core_model import (
 )
 from .distribution import (
     LossPmf,
-    MixtureForm,
     joint_log_prob,
     loss_moments,
     loss_pmf,
     marginal_noncentral_log_prob,
-    mixture_form,
     pair_moment,
     peak_indices,
     rho_noncentral,

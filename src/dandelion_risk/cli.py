@@ -3,8 +3,11 @@
 Emits plot-ready CSV or JSON.  The reported loss excludes the central node,
 so pmf support is {0, ..., N}.  Every file output is paired with a run
 manifest (embedded in JSON documents, sidecar `<file>.manifest.json` next to
-CSV files, stderr when streaming CSV to stdout); reruns with identical flags
-produce byte-identical data payloads, with only manifest timestamps differing.
+CSV files, stderr when streaming CSV to stdout).  The manifest records the
+subcommand, its `parameters` (every flag of the subcommand except `--output`
+and `--seed`, plus the sampler's generator), the seed, the tool version and a
+UTC timestamp; reruns with identical flags produce byte-identical data
+payloads, with only manifest timestamps differing.
 
 Exit codes: 0 success, 2 argument or domain error, 3 I/O error.
 """
@@ -16,7 +19,7 @@ import datetime
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,26 +35,9 @@ OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 # time, so the memory the writer holds does not grow with the row count.
 CSV_BLOCK_ROWS = 65536
 
-
-@dataclass
-class RunManifest:
-    """Provenance record accompanying every data payload."""
-
-    command: str
-    parameters: dict
-    tool_version: str = __version__
-    seed: int | None = None
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc).isoformat()
-    )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def _fmt(x) -> str:
-    # repr gives the shortest round-trip decimal form for floats.
-    return repr(float(x)) if isinstance(x, float) else str(x)
+# Parsed attributes that are not run parameters: the subcommand and its
+# handler, where the output goes, and the seed, a top-level manifest key.
+NOT_PARAMETERS = frozenset({"command", "func", "output", "seed"})
 
 
 def _resolve_output(path: str) -> str:
@@ -72,10 +58,10 @@ def _csv_chunks(columns: dict, extras: dict):
                  for col in columns.values()]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
     for key, value in extras.items():
-        yield f"# {key} = {'' if value is None else _fmt(value)}\n"
+        yield f"# {key} = {'' if value is None else value}\n"
 
 
-def _json_chunks(columns: dict, extras: dict, manifest: RunManifest):
+def _json_chunks(columns: dict, extras: dict, manifest: str):
     """Yield the JSON document in pieces, each column a block at a time.
 
     The pieces join to `json.dumps({"data": {**columns, **extras}, "manifest":
@@ -94,21 +80,21 @@ def _json_chunks(columns: dict, extras: dict, manifest: RunManifest):
             block = json.dumps(col[start:start + CSV_BLOCK_ROWS].tolist())[1:-1]
             yield (", " if start else "") + block
         yield "]"
-    yield '}, "manifest": ' + manifest.to_json() + "}\n"
+    yield '}, "manifest": ' + manifest + "}\n"
 
 
-def _emit(columns: dict, extras: dict, manifest: RunManifest, fmt: str,
+def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
           output: str | None) -> None:
     """Write one result table as CSV or JSON with its run manifest.
 
-    JSON embeds the manifest next to `data` (columns and extras).  CSV puts the
-    manifest in a sidecar `<file>.manifest.json`, or on stderr when the rows
-    go to stdout.
+    `manifest` is the manifest's JSON text, written as given.  JSON embeds it
+    next to `data` (columns and extras).  CSV puts it in a sidecar
+    `<file>.manifest.json`, or on stderr when the rows go to stdout.
     """
     if fmt == "json":
         chunks, sidecar = _json_chunks(columns, extras, manifest), None
     else:
-        chunks, sidecar = _csv_chunks(columns, extras), manifest.to_json() + "\n"
+        chunks, sidecar = _csv_chunks(columns, extras), manifest + "\n"
     if output is None:
         sys.stdout.writelines(chunks)
         if sidecar is not None:
@@ -140,12 +126,12 @@ def _cmd_calibrate(args) -> None:
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
     params = calibrate(cfg)
     bounds = rho_bounds(args.p)
-    print(f"alpha   = {_fmt(params.alpha)}")
-    print(f"alpha0  = {_fmt(params.alpha0)}")
-    print(f"beta    = {_fmt(params.beta)}")
-    print(f"log_z   = {_fmt(params.log_z)}")
-    print(f"q       = {_fmt(cfg.q)}")
-    print(f"rho_interval = ({_fmt(bounds.lower)}, {_fmt(bounds.upper)})")
+    print(f"alpha   = {params.alpha}")
+    print(f"alpha0  = {params.alpha0}")
+    print(f"beta    = {params.beta}")
+    print(f"log_z   = {params.log_z}")
+    print(f"q       = {cfg.q}")
+    print(f"rho_interval = ({bounds.lower}, {bounds.upper})")
 
 
 def _cmd_pmf(args):
@@ -229,14 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     pmf = sub.add_parser("pmf", help="Emit the exact loss pmf (l, mass, log_mass).")
     _add_model_flags(pmf)
     _add_output_flags(pmf)
-    pmf.set_defaults(func=_cmd_pmf, manifest_keys=("p", "rho", "n", "format"))
+    pmf.set_defaults(func=_cmd_pmf)
 
     met = sub.add_parser("metrics", help="Emit VaR, mode, moments, peaks as JSON.")
     _add_model_flags(met)
     met.add_argument("--level", type=float, default=0.99,
                      help="VaR confidence level in (0,1) (default: %(default)s).")
     _add_output_flags(met, formats=("json",))
-    met.set_defaults(func=_cmd_metrics, manifest_keys=("p", "rho", "n", "level"))
+    met.set_defaults(func=_cmd_metrics)
 
     scan = sub.add_parser("scan", help="Sweep rho and emit per-point risk metrics.")
     _add_model_flags(scan, with_rho=False)
@@ -251,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="Smallest adjacent mode change reported as a "
                            "discontinuity (default: %(default)s).")
     _add_output_flags(scan)
-    scan.set_defaults(func=_cmd_scan, manifest_keys=(
-        "p", "n", "points", "margin", "level", "jump_threshold", "format"))
+    scan.set_defaults(func=_cmd_scan)
 
     smp = sub.add_parser("sample", help="Draw (l0, loss) pairs with a seeded RNG.")
     _add_model_flags(smp)
@@ -261,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="RNG seed; fully determines the stream "
                           "(default: %(default)s).")
     _add_output_flags(smp)
-    smp.set_defaults(func=_cmd_sample, generator=GENERATOR_NAME, manifest_keys=(
-        "p", "rho", "n", "count", "generator", "format"))
+    smp.set_defaults(func=_cmd_sample, generator=GENERATOR_NAME)
 
     return parser
 
@@ -273,12 +257,16 @@ def main(argv=None) -> int:
     try:
         table = args.func(args)
         if table is not None:
-            manifest = RunManifest(
-                command=args.command,
-                parameters={key: getattr(args, key) for key in args.manifest_keys},
-                seed=getattr(args, "seed", None),
-            )
-            _emit(*table, manifest, args.format, args.output)
+            manifest = {
+                "command": args.command,
+                "parameters": {key: value for key, value in vars(args).items()
+                               if key not in NOT_PARAMETERS},
+                "seed": getattr(args, "seed", None),
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "tool_version": __version__,
+            }
+            _emit(*table, json.dumps(manifest, sort_keys=True), args.format,
+                  args.output)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

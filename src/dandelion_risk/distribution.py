@@ -6,9 +6,10 @@ so its support is {0, ..., N}.  The loss pmf has the closed form
     P(L = l) = (1/Z) * C(N, l) * ( e^(alpha*l) + e^(alpha0 + l*(alpha+beta)) )
 
 whose two branches are, after normalization, a pair of binomials: conditioning
-on the central node's state makes the leaves i.i.d. Bernoulli.  Their weights
-and rates are :class:`MixtureForm`; the scipy expansion of that mixture in
-``tests/conftest.py`` is the cross-check oracle for the log-space kernel.
+on the central node's state makes the leaves i.i.d. Bernoulli.  The weights
+are 1-p and p and the rates are :func:`conditional_probs`; the scipy expansion
+of that mixture in ``tests/conftest.py`` is the cross-check oracle for the
+log-space kernel.
 
 The kernel skips transcendental work whose result is already known in double
 precision, so its output is bit-for-bit that of the full-array formulas:
@@ -31,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .core_model import CalibratedParams, ModelConfig, calibrate, conditional_probs
+from .core_model import CalibratedParams, ModelConfig, calibrate
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -182,30 +183,6 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     log_mass += branches
     log_mass -= params.log_z
     return LossPmf(n=n, log_mass=log_mass)
-
-
-@dataclass(frozen=True)
-class MixtureForm:
-    """The loss pmf as a two-component binomial mixture.
-
-    Conditioning on the central node splits the leaves into i.i.d. Bernoulli
-    draws: weight1 = P(L0=0) = 1-p at per-leaf rate (p-q)/(1-p), and
-    weight2 = P(L0=1) = p at rate q/p.  Expanding the mixture reproduces the
-    loss pmf elementwise.
-    """
-
-    weight1: float
-    rate1: float
-    weight2: float
-    rate2: float
-
-
-def mixture_form(cfg: ModelConfig) -> MixtureForm:
-    """Binomial-mixture restatement of the loss distribution for this config."""
-    rate1, rate2 = conditional_probs(cfg)
-    return MixtureForm(
-        weight1=1.0 - cfg.p, rate1=rate1, weight2=cfg.p, rate2=rate2
-    )
 
 
 def pair_moment(cfg: ModelConfig) -> float:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface: formats, exit codes, manifests."""
 
+import argparse
 import ast
 import importlib.util
 import json
@@ -14,8 +15,8 @@ import pytest
 from scipy import stats
 
 import dandelion_risk
-from dandelion_risk import ModelConfig, loss_pmf, sample
-from dandelion_risk.cli import CSV_BLOCK_ROWS, main
+from dandelion_risk import ModelConfig, calibrate, loss_pmf, rho_bounds, sample
+from dandelion_risk.cli import CSV_BLOCK_ROWS, build_parser, main
 
 # More rows than two CSV blocks, ending part-way through the third.
 MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
@@ -45,8 +46,18 @@ class TestCalibrateCommand:
             for line in out.strip().splitlines()
             if "=" in line and "interval" not in line
         )
-        assert float(values["q"]) == pytest.approx(0.2224, abs=1e-15)
-        assert float(values["alpha"]) == pytest.approx(-0.8664189018339821, abs=1e-12)
+        cfg = ModelConfig(n_credits=100, p=0.4, rho=0.26)
+        params = calibrate(cfg)
+        bounds = rho_bounds(0.4)
+        assert values == {
+            "alpha": repr(params.alpha),
+            "alpha0": repr(params.alpha0),
+            "beta": repr(params.beta),
+            "log_z": repr(params.log_z),
+            "q": repr(cfg.q),
+        }
+        assert out.splitlines()[-1] == (
+            f"rho_interval = ({bounds.lower!r}, {bounds.upper!r})")
 
     def test_zero_rho_reports_zero_beta(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--p", "0.4", "--rho", "0", "--n", "100")
@@ -285,6 +296,31 @@ class TestSampleCommand:
         assert 0.5 * np.abs(empirical - mass).sum() < 0.005
 
 
+@pytest.mark.parametrize("argv, keys", [
+    pytest.param(["pmf", "--rho", "0.26"], {"p", "rho", "n", "format"}, id="pmf"),
+    pytest.param(["metrics", "--rho", "0.26"], {"p", "rho", "n", "level", "format"},
+                 id="metrics"),
+    pytest.param(["scan", "--points", "5"],
+                 {"p", "n", "points", "margin", "level", "jump_threshold", "format"},
+                 id="scan"),
+    pytest.param(["sample", "--rho", "0.26", "--count", "5", "--seed", "1"],
+                 {"p", "rho", "n", "count", "generator", "format"}, id="sample"),
+])
+def test_manifest_parameters_are_the_subcommand_flags(tmp_path, capsys, argv, keys):
+    path = tmp_path / "out.json"
+    assert main([*argv, "--p", "0.4", "--n", "10", "--format", "json",
+                 "--output", str(path)]) == 0
+    capsys.readouterr()
+    parameters = json.loads(path.read_text())["manifest"]["parameters"]
+    assert set(parameters) == keys
+    # The parser's flags, less the two that are not parameters.
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    flags = {action.dest for action in sub.choices[argv[0]]._actions
+             if action.option_strings and action.dest != "help"}
+    assert keys - {"generator"} == flags - {"output", "seed"}
+
+
 def test_console_help_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -304,7 +340,6 @@ import sys
 import dandelion_risk as dr
 import dandelion_risk.cli
 cfg = dr.ModelConfig(6, 0.4, -0.26)
-dr.mixture_form(cfg)
 dr.risk_report(dr.loss_pmf(cfg))
 dr.scan_rho(0.4, 6, dr.GridSpec(count=3))
 dr.sample(cfg, 10, seed=1)

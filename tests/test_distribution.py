@@ -18,7 +18,6 @@ from dandelion_risk import (
     loss_moments,
     loss_pmf,
     marginal_noncentral_log_prob,
-    mixture_form,
     pair_moment,
     peak_indices,
     rho_noncentral,
@@ -273,27 +272,7 @@ class TestLogBinomTable:
 
 
 class TestMixtureForm:
-    def test_examples(self):
-        degenerate = mixture_form(ModelConfig(100, 0.4, 0.0))
-        assert degenerate.rate1 == pytest.approx(0.4, abs=1e-12)
-        assert degenerate.rate2 == pytest.approx(0.4, abs=1e-12)
-        assert degenerate.weight1 == pytest.approx(0.6, abs=1e-15)
-
-        m = mixture_form(ModelConfig(100, 0.4, -0.5))
-        assert (m.weight1, m.rate1, m.weight2, m.rate2) == pytest.approx(
-            (0.6, 0.6, 0.4, 0.1), abs=1e-12
-        )
-        m = mixture_form(ModelConfig(100, 0.4, 0.26))
-        assert (m.weight1, m.rate1, m.weight2, m.rate2) == pytest.approx(
-            (0.6, 0.296, 0.4, 0.556), abs=1e-12
-        )
-
-    def test_weights_sum_to_one_rates_interior(self):
-        for p in (0.1, 0.5, 0.9):
-            for t in (0.05, 0.5, 0.95):
-                m = mixture_form(ModelConfig(20, p, rho_at(p, t)))
-                assert m.weight1 + m.weight2 == pytest.approx(1.0, abs=1e-15)
-                assert 0.0 < m.rate1 < 1.0 and 0.0 < m.rate2 < 1.0
+    """The loss pmf against its two-component binomial-mixture expansion."""
 
     @pytest.mark.parametrize("n, p, rho", [
         # A 70-point grid at rho = rho_at(p, t), ids n-t-p, and one more case.

@@ -59,6 +59,21 @@ def mp_tails(p: float, rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
                 np.array([float(x) for x in tail]))
 
 
+def assert_var_contract(v, level, cdf, tail, delta):
+    """VaR `v` at `level` meets value_at_risk's docstring on the exact tails.
+
+    Above 0.5, P(L > v) <= 1 - level < P(L > v-1); at or below, P(L <= v-1) <
+    level <= P(L <= v); each side within a relative delta.
+    """
+    if level > 0.5:
+        a = 1.0 - level
+        assert tail[v] <= a * (1 + delta), level
+        assert v == 0 or tail[v - 1] > a * (1 - delta), level
+    else:
+        assert cdf[v] >= level * (1 - delta), level
+        assert v == 0 or cdf[v - 1] < level * (1 + delta), level
+
+
 class TestValueAtRisk:
     def test_matches_binomial_quantile_oracle(self):
         pmf = loss_pmf(ModelConfig(100, 0.4, 0.0))
@@ -127,24 +142,20 @@ class TestValueAtRisk:
             normal = exact > 1e-290
             assert np.all(np.abs(ours - exact)[normal] <= delta * exact[normal])
         for level in VAR_LEVELS:
-            v = value_at_risk(pmf, level)
-            if level > 0.5:
-                a = 1.0 - level
-                assert tail[v] <= a * (1 + delta), level
-                assert v == 0 or tail[v - 1] > a * (1 - delta), level
-            else:
-                assert cdf[v] >= level * (1 - delta), level
-                assert v == 0 or cdf[v - 1] < level * (1 + delta), level
+            assert_var_contract(value_at_risk(pmf, level), level, cdf, tail, delta)
 
-    @pytest.mark.parametrize("level", [0.1, 0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("rho", [-0.4, 0.0, 0.3])
-    def test_cdf_consistency(self, level, rho):
-        pmf = loss_pmf(ModelConfig(50, 0.4, rho))
-        v = value_at_risk(pmf, level)
-        cdf = np.cumsum(pmf.mass)
-        assert cdf[v] >= level
-        if v > 0:
-            assert cdf[v - 1] < level
+    @pytest.mark.parametrize("p, rho, n, level", [
+        *(pytest.param(0.4, rho, 50, level, id=f"{rho}-{level}")
+          for level in (0.1, 0.5, 0.9, 0.99) for rho in (-0.4, 0.0, 0.3)),
+        # Between the two humps P(L > l) lies within delta of 1 - level = p,
+        # the upper branch's weight, for l = 133..270, so any of them meets
+        # the contract.  The package answers 264, where the left-summed cdf
+        # is already >= level at 263.
+        pytest.param(0.1, 0.3, 1000, 0.9, id="0.3-0.9-p0.1-n1000"),
+    ])
+    def test_cdf_consistency(self, p, rho, n, level):
+        v = value_at_risk(loss_pmf(ModelConfig(n, p, rho)), level)
+        assert_var_contract(v, level, *mp_tails(p, rho, n), 1e-14 * (n + 1) + 1e-12)
 
     def test_mirror_asymmetry_at_quarter_strength(self):
         # The VaR curve mirrors around rho=0 only approximately; these two

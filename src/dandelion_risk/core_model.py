@@ -45,21 +45,6 @@ class RhoInterval:
     lower: float
     upper: float
 
-    def require(self, rho: float, p: float) -> None:
-        if not math.isfinite(rho):
-            raise AdmissibilityError(f"rho={rho!r} is not finite")
-        if rho - self.lower <= EPS_BOUND:
-            raise AdmissibilityError(
-                f"rho={rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
-                f"= {self.lower!r} at p={p!r}; admissible open interval is "
-                f"({self.lower!r}, {self.upper!r})"
-            )
-        if self.upper - rho <= EPS_BOUND:
-            raise AdmissibilityError(
-                f"rho={rho!r} violates the upper bound 1; admissible open "
-                f"interval is ({self.lower!r}, {self.upper!r})"
-            )
-
 
 def rho_bounds(p: float) -> RhoInterval:
     """Admissible open interval for the central correlation rho.
@@ -83,7 +68,20 @@ def _joint_moment(p: float, rho: float) -> float:
 
 def rho_to_q(p: float, rho: float) -> float:
     """Map the central correlation to the joint moment q = rho*p*(1-p) + p**2."""
-    rho_bounds(p).require(rho, p)
+    bounds = rho_bounds(p)
+    if not math.isfinite(rho):
+        raise AdmissibilityError(f"rho={rho!r} is not finite")
+    if rho - bounds.lower <= EPS_BOUND:
+        raise AdmissibilityError(
+            f"rho={rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
+            f"= {bounds.lower!r} at p={p!r}; admissible open interval is "
+            f"({bounds.lower!r}, {bounds.upper!r})"
+        )
+    if bounds.upper - rho <= EPS_BOUND:
+        raise AdmissibilityError(
+            f"rho={rho!r} violates the upper bound 1; admissible open "
+            f"interval is ({bounds.lower!r}, {bounds.upper!r})"
+        )
     q = _joint_moment(p, rho)
     if not (0.0 < q < p):
         raise AdmissibilityError(

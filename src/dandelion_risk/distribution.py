@@ -172,11 +172,8 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     x = params.alpha * l
     y = params.alpha0 + (params.alpha + params.beta) * l
     lo, hi = _logaddexp_window(params.alpha0, params.beta, n)
-    if hi - lo == n + 1:
-        branches = np.logaddexp(x, y)
-    else:
-        branches = np.maximum(x, y)
-        np.logaddexp(x[lo:hi], y[lo:hi], out=branches[lo:hi])
+    branches = np.maximum(x, y)
+    np.logaddexp(x[lo:hi], y[lo:hi], out=branches[lo:hi])
     # At l = 0 with alpha < 0 the max is -0.0 where logaddexp gives +0.0;
     # the table entry there is +0.0, so the sums agree.
     log_mass = _log_binom_table(n)

@@ -11,6 +11,7 @@ Three routes that do not share code with the closed forms they check:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,10 +34,36 @@ MAX_FIT_N = 10
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 
 
-def _bit_matrix(n: int) -> np.ndarray:
-    """All 2^n bit vectors as a (2^n, n) 0/1 matrix, row index = binary code."""
+@functools.lru_cache(maxsize=1)
+def _state_table(n: int) -> np.ndarray:
+    """Statistics of all 2^(n+1) joint states as a read-only (5, states) array.
+
+    The rows are l0, sum(li), l0*sum(li), l1 and l2.  The states run over the
+    2^n leaf codes (bit i of a code is l(i+1)) with l0 = 0, then with l0 = 1.
+    Only the last table is kept, so repeated calls at one N build it once.
+    """
     codes = np.arange(2**n, dtype=np.uint32)
-    return ((codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.float64)
+    bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    leaves = np.array([bits.sum(axis=1), bits[:, 0], bits[:, 1]], dtype=np.float64)
+    k, l1, l2 = np.tile(leaves, 2)
+    l0 = np.repeat([0.0, 1.0], codes.size)
+    table = np.array([l0, k, l0 * k, l1, l2])
+    table.flags.writeable = False
+    return table
+
+
+def _state_weights(theta, n: int, shift=None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The state table, exp(theta . t(x) - shift) for every state, and the shift.
+
+    t(x) = (l0, sum(li), l0*sum(li)) is the table's first three rows.  The
+    shift defaults to the largest exponent, so no weight overflows.
+    """
+    table = _state_table(n)
+    a0, a, b = (float(v) for v in theta)
+    exponents = a0 * table[0] + a * table[1] + b * table[2]
+    if shift is None:
+        shift = exponents.max()
+    return table, np.exp(exponents - shift), shift
 
 
 @dataclass(frozen=True)
@@ -65,31 +92,14 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
             f"n_credits={n} exceeds the enumeration cap {MAX_ENUM_N}"
         )
     params = calibrate(cfg)
-    bits = _bit_matrix(n)
-    k = bits.sum(axis=1)
-
-    pmf = np.zeros(n + 1)
-    moments = np.zeros(4)  # E[L0], E[L1], E[L0*L1], E[L1*L2]
-    chunks = []
-    for l0 in (0, 1):
-        logw = (
-            params.alpha0 * l0
-            + params.alpha * k
-            + params.beta * l0 * k
-            - params.log_z
-        )
-        w = np.exp(logw)
-        chunks.append(w)
-        pmf += np.bincount(k.astype(np.intp), weights=w, minlength=n + 1)
-        moments[0] += l0 * w.sum()
-        moments[1] += w @ bits[:, 0]
-        moments[2] += l0 * (w @ bits[:, 0])
-        moments[3] += w @ (bits[:, 0] * bits[:, 1])
-    total = math.fsum(float(x) for chunk in chunks for x in chunk)
+    theta = (params.alpha0, params.alpha, params.beta)
+    table, w, _ = _state_weights(theta, n, shift=params.log_z)
+    l0, k, _, l1, l2 = table
+    pmf = np.bincount(k.astype(np.intp), weights=w, minlength=n + 1)
     return EnumerationReport(
-        moments=tuple(moments),
+        moments=(w @ l0, w @ l1, w @ (l0 * l1), w @ (l1 * l2)),
         loss_pmf_bf=pmf,
-        total_mass=total,
+        total_mass=math.fsum(w.tolist()),
     )
 
 
@@ -120,24 +130,9 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
 # is the invariant.
 
 
-def _maxent_states(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """t(x) for all 2^(n+1) states as a (3, states) matrix, exp(theta . t(x) - m), m.
-
-    The states run over the 2^n leaf codes with l0 = 0, then with l0 = 1; the
-    shift m is the largest exponent, so no weight overflows.
-    """
-    a0, a, b = (float(v) for v in theta)
-    k = _bit_matrix(n).sum(axis=1)
-    exponents = np.concatenate([a * k, a0 + (a + b) * k])
-    m = exponents.max()
-    l0 = np.concatenate([np.zeros_like(k), np.ones_like(k)])
-    kk = np.concatenate([k, k])
-    return np.stack([l0, kk, l0 * kk]), np.exp(exponents - m), m
-
-
 def maxent_log_partition(theta, n: int) -> float:
     """log Z(theta) by summing exp(theta . t(x)) over all 2^(n+1) states."""
-    _, w, m = _maxent_states(theta, n)
+    _, w, m = _state_weights(theta, n)
     return float(m + np.log(w.sum()))
 
 
@@ -146,14 +141,16 @@ def maxent_moments(theta, n: int) -> np.ndarray:
 
     These expectations are the analytic gradient of log Z(theta).
     """
-    t, w, _ = _maxent_states(theta, n)
+    table, w, _ = _state_weights(theta, n)
     w /= w.sum()
-    # One dot per statistic: t @ w sums in another order and moves the fit ~1e-12.
-    return np.array([w @ row for row in t])
+    # One dot per statistic: table[:3] @ w sums in another order and moves the
+    # fit ~1e-12.
+    return np.array([w @ row for row in table[:3]])
 
 
 def _maxent_covariance(theta, n: int) -> np.ndarray:
-    t, w, _ = _maxent_states(theta, n)
+    table, w, _ = _state_weights(theta, n)
+    t = table[:3]
     w /= w.sum()
     mean = t @ w
     return (t * w) @ t.T - np.outer(mean, mean)

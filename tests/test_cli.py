@@ -329,10 +329,40 @@ def test_console_help_smoke(capsys):
     assert "calibrate" in out and "scan" in out
 
 
+def scipy_stats_references(source: str) -> list[str]:
+    """Imports, attribute chains and strings in `source` that name scipy.stats."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(ast.unparse(node))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+    return [name for name in names if re.search(r"\bscipy\.stats\b", name)]
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy.stats", "import scipy.stats as st", "from scipy import stats",
+    "from scipy import special, stats", "from scipy.stats import norm",
+    "import scipy\nscipy.stats.norm.cdf(0)", "importlib.import_module('scipy.stats')",
+])
+def test_scipy_stats_scan_finds_every_spelling(source):
+    assert scipy_stats_references(source)
+    assert not scipy_stats_references("from scipy.special import gammaln")
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes longer to import than the rest of the package, and
-    # nothing in the package uses it: neither the import nor a call loads it.
-    src = str(Path(dandelion_risk.__file__).resolve().parents[1])
+    # nothing in the package uses it: no module names it, and neither the
+    # import nor a call loads it.
+    package = Path(dandelion_risk.__file__).resolve().parent
+    found = {path.name: scipy_stats_references(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert not any(found.values()), found
+    src = str(package.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = """

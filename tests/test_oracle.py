@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dandelion_risk import (
+    MAX_ENUM_N,
     AdmissibilityError,
     MaxEntConvergenceError,
     ModelConfig,
@@ -17,8 +18,22 @@ from dandelion_risk import (
     rho_to_q,
     sample,
 )
+from dandelion_risk.oracle import _state_table
 
 from conftest import rho_at
+
+
+def test_state_table_rows_and_order():
+    # Rows l0, sum(li), l0*sum(li), l1, l2; leaf codes with l0 = 0, then l0 = 1.
+    table = _state_table(2)
+    np.testing.assert_array_equal(table, [
+        [0, 0, 0, 0, 1, 1, 1, 1],
+        [0, 1, 1, 2, 0, 1, 1, 2],
+        [0, 0, 0, 0, 0, 1, 1, 2],
+        [0, 1, 0, 1, 0, 1, 0, 1],
+        [0, 0, 1, 1, 0, 0, 1, 1],
+    ])
+    assert not table.flags.writeable
 
 
 class TestEnumerate:
@@ -62,6 +77,15 @@ class TestEnumerate:
         cfg = ModelConfig(n_credits=12, p=0.4, rho=rho)
         rep = enumerate_model(cfg)
         assert np.abs(rep.loss_pmf_bf - loss_pmf(cfg).mass).max() < 1e-10
+
+    @pytest.mark.parametrize("rho", [-0.6, 0.26])
+    def test_at_the_size_cap(self, rho):
+        cfg = ModelConfig(n_credits=MAX_ENUM_N, p=0.4, rho=rho)
+        rep = enumerate_model(cfg)
+        assert abs(rep.total_mass - 1.0) < 1e-10
+        assert np.abs(rep.loss_pmf_bf - loss_pmf(cfg).mass).max() < 1e-10
+        np.testing.assert_allclose(rep.moments, [0.4, 0.4, cfg.q, pair_moment(cfg)],
+                                   rtol=0, atol=1e-10)
 
     def test_size_cap(self):
         with pytest.raises(AdmissibilityError):
@@ -154,6 +178,14 @@ class TestMaxEntFit:
             maxent_fit_small(0.4, 0.2224, 8, init=[300.0, -300.0, 300.0], max_iters=2)
         assert np.isfinite(err.value.residual_norm)
         assert err.value.residual_norm > 0.0
+
+    def test_fit_builds_the_state_table_once(self):
+        # About a dozen state sweeps per fit; one table, kept alone, serves all.
+        _state_table.cache_clear()
+        maxent_fit_small(0.4, 0.2224, 8)
+        info = _state_table.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
+        assert info.hits >= 10
 
     def test_size_cap(self):
         with pytest.raises(AdmissibilityError):

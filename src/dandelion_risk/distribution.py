@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core_model import CalibratedParams, ModelConfig, calibrate
 
@@ -40,7 +39,7 @@ LSE_GAP = 800.0
 # exp(t) is exactly 0.0 for t < -745.14.
 EXP_FLOOR = -746.0
 
-# log k! = gammaln(k + 1.0) for k = 0, 1, ...; grown on demand, read-only.
+# log k! = math.lgamma(k + 1) for k = 0, 1, ...; grown on demand, read-only.
 # Readers take it once into a local; if two threads grow it at once, the last
 # write wins and is still a valid prefix.
 _log_factorials = np.zeros(0)
@@ -56,8 +55,9 @@ def _log_binom_table(n: int) -> np.ndarray:
     global _log_factorials
     g = _log_factorials
     if len(g) <= n:
-        k = np.arange(len(g), max(n + 1, 2 * len(g)), dtype=np.float64)
-        g = np.concatenate((g, gammaln(k + 1.0)))
+        stop = max(n + 1, 2 * len(g))
+        grown = map(math.lgamma, range(len(g) + 1, stop + 1))  # streamed, no list
+        g = np.concatenate((g, np.fromiter(grown, np.float64, stop - len(g))))
         g.flags.writeable = False
         _log_factorials = g
     table = g[n] - g[: n + 1]

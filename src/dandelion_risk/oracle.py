@@ -41,7 +41,11 @@ def _state_table(n: int) -> np.ndarray:
     The rows are l0, sum(li), l0*sum(li), l1 and l2.  The states run over the
     2^n leaf codes (bit i of a code is l(i+1)) with l0 = 0, then with l0 = 1.
     Only the last table is kept, so repeated calls at one N build it once.
+    Every state sweep builds its table here, so this is where N is capped.
     """
+    if n > MAX_ENUM_N:
+        raise AdmissibilityError(f"n_credits={n} exceeds the enumeration cap "
+                                 f"{MAX_ENUM_N}")
     codes = np.arange(2**n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1
     leaves = np.array([bits.sum(axis=1), bits[:, 0], bits[:, 1]], dtype=np.float64)
@@ -87,10 +91,6 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
     brute-force loss pmf, all computed from per-state probabilities.
     """
     n = cfg.n_credits
-    if n > MAX_ENUM_N:
-        raise AdmissibilityError(
-            f"n_credits={n} exceeds the enumeration cap {MAX_ENUM_N}"
-        )
     params = calibrate(cfg)
     theta = (params.alpha0, params.alpha, params.beta)
     table, w, _ = _state_weights(theta, n, shift=params.log_z)

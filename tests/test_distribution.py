@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,6 +265,36 @@ class TestLogBinomTable:
         assert len(prefix) <= 2 * (ns.max() + 1)
         # Caching even a few of the 200 tables would keep far more than this.
         assert kept <= prefix.nbytes + 64 * 1024
+
+    @pytest.mark.parametrize("n", [10**2, 10**3, 10**4, 10**5, 10**6])
+    def test_within_four_ulp_of_log_n_factorial(self, n):
+        # Against 60 digits at both ends, densely around the mode n/2 and at
+        # 101 points across the support.  Each entry is two subtractions of
+        # log-factorials no larger than log n!, so its error is a few ulp of it.
+        mid = n // 2
+        ls = sorted({*range(21), *range(n - 20, n + 1), *range(mid - 700, mid + 701),
+                     *np.linspace(0, n, 101).astype(int).tolist()})
+        ls = [l for l in ls if 0 <= l <= n]
+        table = _log_binom_table(n)
+        with mpmath.workdps(60):
+            log_n_factorial = mpmath.loggamma(n + 1)
+            error = max(
+                abs(mpmath.mpf(table[l]) - log_n_factorial
+                    + mpmath.loggamma(l + 1) + mpmath.loggamma(n - l + 1))
+                for l in ls
+            )
+        assert error <= 4 * math.ulp(float(log_n_factorial))
+
+    def test_prefix_growth_streams(self, monkeypatch):
+        # Growing through a list of Python floats would peak at 5-9x the prefix.
+        monkeypatch.setattr(distribution, "_log_factorials", np.zeros(0))
+        tracemalloc.start()
+        try:
+            _log_binom_table(10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * distribution._log_factorials.nbytes
 
     def test_returned_table_is_a_fresh_array(self):
         table = _log_binom_table(50)

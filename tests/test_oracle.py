@@ -191,6 +191,13 @@ class TestMaxEntFit:
         with pytest.raises(AdmissibilityError):
             maxent_fit_small(0.4, 0.16, 11)
 
+    @pytest.mark.parametrize("n", [MAX_ENUM_N + 1, 30])
+    @pytest.mark.parametrize("sweep", [maxent_moments, maxent_log_partition])
+    def test_state_sweeps_are_capped(self, sweep, n):
+        # At N = 30 the state table alone would take ~86 GB.
+        with pytest.raises(AdmissibilityError, match="enumeration cap"):
+            sweep(np.zeros(3), n)
+
     def test_rejects_inadmissible_q(self):
         with pytest.raises(AdmissibilityError):
             maxent_fit_small(0.4, 0.45, 8)

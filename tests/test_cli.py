@@ -9,13 +9,18 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import dandelion_risk
-from dandelion_risk import ModelConfig, calibrate, loss_pmf, rho_bounds, sample
+from dandelion_risk import (GridSpec, ModelConfig, calibrate, loss_pmf, rho_bounds,
+                            sample, scan_rho)
+from dandelion_risk import cli
 from dandelion_risk.cli import CSV_BLOCK_ROWS, build_parser, main
 
 # More rows than two CSV blocks, ending part-way through the third.
@@ -198,6 +203,14 @@ class TestScanCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "rho,var,mode,mode_prob,mean,variance"
         assert len(lines) == 204  # header + 201 rows + 2 footer comments
+        result = scan_rho(0.4, 100, grid_spec=GridSpec(count=201, margin=1e-3),
+                          level=0.99, jump_threshold=10)
+        assert lines[1:-2] == [
+            f"{rho!r},{rep.var_value!r},{rep.mode!r},{rep.mode_prob!r},"
+            f"{rep.mean!r},{rep.variance!r}"
+            for rho, rep in zip(result.rho_grid.tolist(), result.reports)
+        ]
+        assert lines[1].startswith("-0.")
         star = float(lines[-2].split("=")[1])
         assert star == pytest.approx(-0.461745, abs=1e-5)
         assert int(lines[-1].split("=")[1]) == 46
@@ -294,6 +307,57 @@ class TestSampleCommand:
         empirical = np.bincount(loss, minlength=101) / 1e6
         mass = np.loadtxt(pmf_file, delimiter=",", skiprows=1, usecols=1)
         assert 0.5 * np.abs(empirical - mass).sum() < 0.005
+
+
+INT64 = np.iinfo(np.int64)
+# Signed zeros, the smallest subnormal, both sides of the switches to
+# exponent notation at 1e-05 and 1e+16, non-finite values, and reprs of the
+# longest length, 24 characters.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1e-05, 9.999999999999999e-06, -1e-05,
+               1e+16, 9999999999999998.0, -1e+16, float("inf"), float("-inf"),
+               float("nan"), -1.2345678901234567e-300, 0.1, -1.0]
+EDGE_INTS = [INT64.min, INT64.min + 1, -10, -9, -1, 0, 1, 9, 10, INT64.max]
+CELLS = {
+    "int": st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT64.min, INT64.max)),
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(width=64)),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    """Columns of int64 or float64 arrays or Python lists (as `scan` passes)."""
+    n_rows = draw(st.integers(0, 10), label="n_rows")
+    columns = {}
+    for i, (kind, as_list) in enumerate(draw(st.lists(
+            st.tuples(st.sampled_from(sorted(CELLS)), st.booleans()),
+            min_size=1, max_size=4))):
+        values = draw(st.lists(CELLS[kind], min_size=n_rows, max_size=n_rows))
+        columns[f"{kind}{i}"] = values if as_list else np.array(
+            values, np.int64 if kind == "int" else np.float64)
+    extras = draw(st.dictionaries(st.sampled_from(["rho_star", "jump_size"]),
+                                  st.one_of(st.none(), st.integers(), st.floats())))
+    return columns, extras
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=csv_tables(), block_rows=st.integers(1, 4))
+def test_csv_chunks_are_the_per_cell_repr(table, block_rows):
+    columns, extras = table
+    cells = [list(map(repr, np.asarray(col).tolist())) for col in columns.values()]
+    expected = "".join(
+        [",".join(columns) + "\n"]
+        + [",".join(row) + "\n" for row in zip(*cells)]
+        + [f"# {key} = {'' if value is None else value}\n"
+           for key, value in extras.items()])
+    # Small blocks put the row count on either side of a block boundary.
+    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+        assert "".join(cli._csv_chunks(columns, extras)) == expected
+
+
+def test_csv_chunks_refuse_other_dtypes():
+    with pytest.raises(TypeError, match="bool"):
+        list(cli._csv_chunks({"flag": np.array([True, False])}, {}))
 
 
 @pytest.mark.parametrize("argv, keys", [

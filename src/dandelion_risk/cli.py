@@ -9,7 +9,8 @@ and `--seed`, plus the sampler's generator), the seed, the tool version and a
 UTC timestamp; reruns with identical flags produce byte-identical data
 payloads, with only manifest timestamps differing.
 
-Exit codes: 0 success, 2 argument or domain error, 3 I/O error.
+Exit codes: 0 success, 2 argument or domain error (including a size too
+large to allocate), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--level", type=float, default=0.99,
                       help="VaR confidence level (default: %(default)s).")
     scan.add_argument("--jump-threshold", type=int, default=10,
-                      help="Smallest adjacent mode change reported as a "
-                           "discontinuity (default: %(default)s).")
+                      help="Adjacent mode changes larger than this, >= 0, are "
+                           "reported as a discontinuity (default: %(default)s).")
     _add_output_flags(scan)
     scan.set_defaults(func=_cmd_scan)
 
@@ -322,7 +323,8 @@ def main(argv=None) -> int:
             _emit(*table, json.dumps(manifest, sort_keys=True), args.format,
                   args.output)
         return 0
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
+        # A MemoryError comes from an N or --count too large to allocate.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _IOFailure as exc:

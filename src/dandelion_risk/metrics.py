@@ -126,6 +126,8 @@ def scan_rho(
     independently and results are merged in grid order, so the output is
     deterministic for identical inputs.
     """
+    if jump_threshold < 0:
+        raise AdmissibilityError(f"jump_threshold={jump_threshold!r} must be >= 0")
     bounds = rho_bounds(p)
     lo = bounds.lower + grid_spec.margin
     hi = bounds.upper - grid_spec.margin

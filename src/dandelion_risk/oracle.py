@@ -1,12 +1,19 @@
-"""Independent verification engines for the star model.
+"""Verification engines for the star model.
 
-Three routes that do not share code with the closed forms they check:
+Three routes, each sharing some inputs with the closed forms it checks:
 
-* exhaustive enumeration of all 2^(N+1) joint states (small N),
-* conditional Monte Carlo sampling of (L0, loss) pairs,
-* a damped-Newton maximum-entropy fit that recovers the natural parameters
-  from the moment constraints alone, with the partition function and its
-  derivatives obtained by brute-force state sums.
+* exhaustive enumeration of all 2^(N+1) joint states (small N) takes theta
+  and log Z from calibrate(), the function it checks; the state sum itself is
+  its own, so a total mass of 1 checks log Z, the moments check that theta
+  gives E[L0] = E[Li] = p and E[L0*Li] = q, and the brute-force pmf checks
+  loss_pmf's two-binomial expansion;
+* conditional Monte Carlo sampling of (L0, loss) pairs draws at the
+  conditional_probs() rates that loss_pmf also uses, so comparing draws with
+  loss_pmf checks the branch weights and the log-space kernel, not the rates;
+* a damped-Newton maximum-entropy fit starts from a perturbed calibrate()
+  (or from zeros), but its answer is fixed by the moment constraints alone,
+  with the partition function and its derivatives obtained by brute-force
+  state sums, so it recovers theta and log Z independently.
 """
 
 from __future__ import annotations
@@ -178,32 +185,6 @@ class MaxEntConvergenceError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-def _newton(theta0: np.ndarray, target: np.ndarray, n: int, tol: float,
-            max_iters: int) -> tuple[np.ndarray, float, bool]:
-    theta = theta0.astype(np.float64).copy()
-    resid = maxent_moments(theta, n) - target
-    norm = float(np.linalg.norm(resid))
-    for _ in range(max_iters):
-        if norm < tol:
-            return theta, norm, True
-        try:
-            step = np.linalg.solve(_maxent_covariance(theta, n), -resid)
-        except np.linalg.LinAlgError:
-            return theta, norm, False
-        lam = 1.0
-        for _ in range(30):
-            cand = theta + lam * step
-            cand_resid = maxent_moments(cand, n) - target
-            cand_norm = float(np.linalg.norm(cand_resid))
-            if cand_norm < norm:
-                break
-            lam *= 0.5
-        else:
-            return theta, norm, False  # step no longer reduces the residual
-        theta, resid, norm = cand, cand_resid, cand_norm
-    return theta, norm, norm < tol
-
-
 def maxent_fit_small(
     p: float,
     q: float,
@@ -219,9 +200,13 @@ def maxent_fit_small(
     E[L0*Li] = q (pooled), by damped Newton iteration on the moment residuals
     with the exact covariance of the sufficient statistics as Jacobian.
 
-    Defaults start from a deliberately perturbed closed form and fall back to
-    an all-zeros start; raises MaxEntConvergenceError with the final residual
-    norm if neither run converges.
+    Runs from `init` when it is given.  Otherwise it runs from a deliberately
+    perturbed closed form and, if that fails, from all zeros: neither start
+    converges everywhere alone (the first stalls near the lower rho bound at
+    N = 9, p ~ 0.497 or 0.499; the second at some interior points near
+    p = 0.2).  A run fails on a singular covariance, a stalled line search or
+    max_iters; if every run fails, raises MaxEntConvergenceError with the
+    smallest final residual norm.
     """
     if n > MAX_FIT_N:
         raise AdmissibilityError(f"n={n} exceeds the fit cap {MAX_FIT_N}")
@@ -229,18 +214,36 @@ def maxent_fit_small(
     target = np.array([p, n * p, n * q])
 
     if init is not None:
-        starts = [np.asarray(init, dtype=np.float64)]
+        starts = [init]
     else:
         closed = calibrate(cfg)
-        perturbed = np.array([closed.alpha0, closed.alpha, closed.beta]) + np.array(
-            [0.5, -0.5, 0.5]
-        )
-        starts = [perturbed, np.zeros(3)]
+        starts = [[closed.alpha0 + 0.5, closed.alpha - 0.5, closed.beta + 0.5],
+                  np.zeros(3)]
 
     best_norm = math.inf
-    for theta0 in starts:
-        theta, norm, ok = _newton(theta0, target, n, tol, max_iters)
-        if ok:
+    for start in starts:
+        theta = np.array(start, dtype=np.float64)
+        resid = maxent_moments(theta, n) - target
+        norm = float(np.linalg.norm(resid))
+        for _ in range(max_iters):
+            if norm < tol:
+                break
+            try:
+                step = np.linalg.solve(_maxent_covariance(theta, n), -resid)
+            except np.linalg.LinAlgError:
+                break
+            lam = 1.0
+            for _ in range(30):
+                cand = theta + lam * step
+                cand_resid = maxent_moments(cand, n) - target
+                cand_norm = float(np.linalg.norm(cand_resid))
+                if cand_norm < norm:
+                    break
+                lam *= 0.5
+            else:
+                break  # step no longer reduces the residual
+            theta, resid, norm = cand, cand_resid, cand_norm
+        if norm < tol:
             a0, a, b = (float(v) for v in theta)
             matched = CalibratedParams(
                 alpha=a,

@@ -194,6 +194,19 @@ class TestMetricsCommand:
                          "--level", "1.5")
         assert code == 2
 
+    def test_out_of_memory_exits_2(self, monkeypatch, capsys):
+        # What `metrics --n 100000000000` raises; simulated, so nothing is allocated.
+        message = ("Unable to allocate 745. GiB for an array with shape "
+                   "(100000000001,) and data type float64")
+
+        def exhausted(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "loss_pmf", exhausted)
+        code, out, err = run(capsys, "metrics", "--p", "0.4", "--rho", "0",
+                             "--n", "100000000000")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestScanCommand:
     def test_csv_with_rho_star_footer(self, capsys):
@@ -214,6 +227,11 @@ class TestScanCommand:
         star = float(lines[-2].split("=")[1])
         assert star == pytest.approx(-0.461745, abs=1e-5)
         assert int(lines[-1].split("=")[1]) == 46
+
+    def test_negative_jump_threshold_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--p", "0.1", "--n", "10", "--points", "5",
+                             "--jump-threshold", "-1")
+        assert (code, out, err) == (2, "", "error: jump_threshold=-1 must be >= 0\n")
 
     def test_json_fields(self, capsys):
         _, out, _ = run(capsys, "scan", "--p", "0.4", "--n", "50",

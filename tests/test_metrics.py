@@ -238,6 +238,17 @@ class TestScanRho:
         assert res.rho_star is None
         assert res.jump_size == 0
 
+    def test_rejects_negative_jump_threshold(self):
+        # Every mode is 0 here, so -1 would report a "jump" of size 0.
+        with pytest.raises(AdmissibilityError, match="jump_threshold=-1 must be >= 0"):
+            scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=-1)
+
+    @pytest.mark.parametrize("threshold", [0, 10])
+    def test_flat_modes_report_no_jump(self, threshold):
+        res = scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=threshold)
+        assert res.modes.tolist() == [0] * 5
+        assert (res.rho_star, res.jump_size) == (None, 0)
+
     def test_mode_shape_along_grid(self):
         res = scan_rho(0.4, 100)
         grid, modes = res.rho_grid, res.modes

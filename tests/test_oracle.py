@@ -20,7 +20,7 @@ from dandelion_risk import (
 )
 from dandelion_risk.oracle import _state_table
 
-from conftest import rho_at
+from conftest import lower_bound, rho_at
 
 
 def test_state_table_rows_and_order():
@@ -178,6 +178,38 @@ class TestMaxEntFit:
             maxent_fit_small(0.4, 0.2224, 8, init=[300.0, -300.0, 300.0], max_iters=2)
         assert np.isfinite(err.value.residual_norm)
         assert err.value.residual_norm > 0.0
+
+    @pytest.mark.parametrize("n", [2, 10])
+    @pytest.mark.parametrize("place", ["lower+1e-8", "lower+1e-6", "zero",
+                                       "1-1e-6", "1-1e-8"])
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.5, 0.7, 0.98])
+    def test_converges_at_the_edges_without_init(self, p, place, n):
+        # Near the bounds the moments pin the parameters loosely, so only the
+        # moment match is checked, not closeness to calibrate().
+        rho = {"lower+1e-8": lower_bound(p) + 1e-8, "lower+1e-6": lower_bound(p) + 1e-6,
+               "zero": 0.0, "1-1e-6": 1.0 - 1e-6, "1-1e-8": 1.0 - 1e-8}[place]
+        q = ModelConfig(n, p, rho).q
+        fit = maxent_fit_small(p, q, n)
+        assert fit.residual_norm < 1e-10
+        np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
+                                   [p, n * p, n * q], rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("p, rho, failing_start", [
+        (0.499, lower_bound(0.499) + 1e-7, "perturbed"),
+        (0.24, lower_bound(0.24) + 0.64, "zeros"),
+    ], ids=["perturbed-stalls", "zeros-stalls"])
+    def test_each_start_converges_where_the_other_fails(self, p, rho, failing_start):
+        n = 9
+        cfg = ModelConfig(n, p, rho)
+        closed = calibrate(cfg)
+        starts = {"perturbed": [closed.alpha0 + 0.5, closed.alpha - 0.5, closed.beta + 0.5],
+                  "zeros": [0.0, 0.0, 0.0]}
+        with pytest.raises(MaxEntConvergenceError):
+            maxent_fit_small(p, cfg.q, n, init=starts[failing_start])
+        fit = maxent_fit_small(p, cfg.q, n)
+        assert fit.residual_norm < 1e-10
+        np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
+                                   [p, n * p, n * cfg.q], rtol=0, atol=1e-9)
 
     def test_fit_builds_the_state_table_once(self):
         # About a dozen state sweeps per fit; one table, kept alone, serves all.

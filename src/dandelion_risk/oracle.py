@@ -10,8 +10,8 @@ Three routes, each sharing some inputs with the closed forms it checks:
 * conditional Monte Carlo sampling of (L0, loss) pairs draws at the
   conditional_probs() rates that loss_pmf also uses, so comparing draws with
   loss_pmf checks the branch weights and the log-space kernel, not the rates;
-* a damped-Newton maximum-entropy fit starts from a perturbed calibrate()
-  (or from zeros), but its answer is fixed by the moment constraints alone,
+* a damped-Newton maximum-entropy fit starts from calibrate() with alpha0
+  shifted by 0.5, but its answer is fixed by the moment constraints alone,
   with the partition function and its derivatives obtained by brute-force
   state sums, so it recovers theta and log Z independently.
 """
@@ -120,6 +120,10 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise AdmissibilityError(f"count={count!r} must be >= 1")
+    int64_max = np.iinfo(np.int64).max  # the largest N rng.binomial takes
+    if cfg.n_credits > int64_max:
+        raise AdmissibilityError(f"n_credits={cfg.n_credits} exceeds the sampler "
+                                 f"bound {int64_max} (int64)")
     rate_given_sound, rate_given_default = conditional_probs(cfg)
     rng = np.random.default_rng(seed)
     l0 = (rng.random(count) < cfg.p).astype(np.int64)
@@ -200,64 +204,57 @@ def maxent_fit_small(
     E[L0*Li] = q (pooled), by damped Newton iteration on the moment residuals
     with the exact covariance of the sufficient statistics as Jacobian.
 
-    Runs from `init` when it is given.  Otherwise it runs from a deliberately
-    perturbed closed form and, if that fails, from all zeros: neither start
-    converges everywhere alone (the first stalls near the lower rho bound at
-    N = 9, p ~ 0.497 or 0.499; the second at some interior points near
-    p = 0.2).  A run fails on a singular covariance, a stalled line search or
-    max_iters; if every run fails, raises MaxEntConvergenceError with the
-    smallest final residual norm.
+    Runs once, from `init` when it is given, otherwise from the closed form
+    with alpha0 shifted by 0.5: off the answer, yet close enough to converge
+    at every N, p and rho tried, including the lower rho bound at N = 9 where
+    starts that also shift alpha and beta, or start from zeros, stall.  A
+    singular covariance, a stalled line search or max_iters raises
+    MaxEntConvergenceError with the final residual norm.
     """
     if n > MAX_FIT_N:
         raise AdmissibilityError(f"n={n} exceeds the fit cap {MAX_FIT_N}")
     cfg = ModelConfig(n_credits=n, p=p, rho=q_to_rho(p, q))  # admissibility gate
     target = np.array([p, n * p, n * q])
 
-    if init is not None:
-        starts = [init]
-    else:
+    if init is None:
         closed = calibrate(cfg)
-        starts = [[closed.alpha0 + 0.5, closed.alpha - 0.5, closed.beta + 0.5],
-                  np.zeros(3)]
+        init = [closed.alpha0 + 0.5, closed.alpha, closed.beta]
 
-    best_norm = math.inf
-    for start in starts:
-        theta = np.array(start, dtype=np.float64)
-        resid = maxent_moments(theta, n) - target
-        norm = float(np.linalg.norm(resid))
-        for _ in range(max_iters):
-            if norm < tol:
-                break
-            try:
-                step = np.linalg.solve(_maxent_covariance(theta, n), -resid)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            for _ in range(30):
-                cand = theta + lam * step
-                cand_resid = maxent_moments(cand, n) - target
-                cand_norm = float(np.linalg.norm(cand_resid))
-                if cand_norm < norm:
-                    break
-                lam *= 0.5
-            else:
-                break  # step no longer reduces the residual
-            theta, resid, norm = cand, cand_resid, cand_norm
+    theta = np.array(init, dtype=np.float64)
+    resid = maxent_moments(theta, n) - target
+    norm = float(np.linalg.norm(resid))
+    for _ in range(max_iters):
         if norm < tol:
-            a0, a, b = (float(v) for v in theta)
-            matched = CalibratedParams(
-                alpha=a,
-                alpha0=a0,
-                beta=b,
-                log_z=maxent_log_partition(theta, n),
-                n_credits=n,
-            )
-            return MaxEntFit(
-                lagrange=(a0, a, b), residual_norm=norm, matched_params=matched
-            )
-        best_norm = min(best_norm, norm)
+            break
+        try:
+            step = np.linalg.solve(_maxent_covariance(theta, n), -resid)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        for _ in range(30):
+            cand = theta + lam * step
+            cand_resid = maxent_moments(cand, n) - target
+            cand_norm = float(np.linalg.norm(cand_resid))
+            if cand_norm < norm:
+                break
+            lam *= 0.5
+        else:
+            break  # step no longer reduces the residual
+        theta, resid, norm = cand, cand_resid, cand_norm
+    if norm < tol:
+        a0, a, b = (float(v) for v in theta)
+        matched = CalibratedParams(
+            alpha=a,
+            alpha0=a0,
+            beta=b,
+            log_z=maxent_log_partition(theta, n),
+            n_credits=n,
+        )
+        return MaxEntFit(
+            lagrange=(a0, a, b), residual_norm=norm, matched_params=matched
+        )
     raise MaxEntConvergenceError(
         f"moment-matching Newton failed to converge for p={p!r}, q={q!r}, n={n} "
-        f"(best residual norm {best_norm:.3e})",
-        residual_norm=best_norm,
+        f"(final residual norm {norm:.3e})",
+        residual_norm=norm,
     )

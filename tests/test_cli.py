@@ -312,6 +312,18 @@ class TestSampleCommand:
                          "--count", "0")
         assert code == 2
 
+    def test_n_past_int64_exits_2(self, capsys):
+        code, _, err = run(capsys, "sample", "--p", "0.4", "--rho", "0.1",
+                           "--n", str(2**63), "--count", "1")
+        assert code == 2
+        assert str(2**63 - 1) in err
+
+    def test_n_at_int64_max_exits_0(self, capsys):
+        code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "0.1",
+                           "--n", str(2**63 - 1), "--count", "1", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "draw_index,l0,loss"
+
     def test_total_variation_against_pmf_command(self, tmp_path, capsys):
         draws = tmp_path / "draws.csv"
         pmf_file = tmp_path / "pmf.csv"

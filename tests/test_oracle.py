@@ -18,6 +18,7 @@ from dandelion_risk import (
     rho_to_q,
     sample,
 )
+from dandelion_risk import oracle
 from dandelion_risk.oracle import _state_table
 
 from conftest import lower_bound, rho_at
@@ -134,6 +135,16 @@ class TestSample:
         with pytest.raises(AdmissibilityError):
             sample(ModelConfig(10, 0.4, 0.1), 0, seed=0)
 
+    def test_rejects_n_past_int64(self):
+        # rng.binomial takes N as an int64; past that it would raise OverflowError.
+        with pytest.raises(AdmissibilityError, match="9223372036854775807"):
+            sample(ModelConfig(2**63, 0.4, 0.1), 1, seed=0)
+
+    def test_n_at_int64_max_draws_without_per_credit_work(self):
+        draws = sample(ModelConfig(2**63 - 1, 0.4, 0.1), 1, seed=0)
+        assert draws.shape == (1, 2)
+        assert 0 <= draws[0, 1] <= 2**63 - 1
+
 
 class TestMaxEntFit:
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.26])
@@ -194,30 +205,50 @@ class TestMaxEntFit:
         np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
                                    [p, n * p, n * q], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("p, rho, failing_start", [
-        (0.499, lower_bound(0.499) + 1e-7, "perturbed"),
-        (0.24, lower_bound(0.24) + 0.64, "zeros"),
-    ], ids=["perturbed-stalls", "zeros-stalls"])
-    def test_each_start_converges_where_the_other_fails(self, p, rho, failing_start):
+    @pytest.mark.parametrize("p, gap, old_start", [
+        (0.499, 1e-7, "perturbed"),
+        (0.497, 2.1e-10, "perturbed"),
+        (0.24, 0.64, "zeros"),
+    ], ids=["perturbed-stalls", "perturbed-stalls-near-bound", "zeros-stalls"])
+    def test_old_starts_stall_where_the_default_converges(self, p, gap, old_start):
+        # Each of these starts stalls on some input; shifting only alpha0 off the
+        # closed form converges on all three.
         n = 9
-        cfg = ModelConfig(n, p, rho)
+        cfg = ModelConfig(n, p, lower_bound(p) + gap)
         closed = calibrate(cfg)
         starts = {"perturbed": [closed.alpha0 + 0.5, closed.alpha - 0.5, closed.beta + 0.5],
                   "zeros": [0.0, 0.0, 0.0]}
         with pytest.raises(MaxEntConvergenceError):
-            maxent_fit_small(p, cfg.q, n, init=starts[failing_start])
+            maxent_fit_small(p, cfg.q, n, init=starts[old_start])
         fit = maxent_fit_small(p, cfg.q, n)
         assert fit.residual_norm < 1e-10
         np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
                                    [p, n * p, n * cfg.q], rtol=0, atol=1e-9)
 
-    def test_fit_builds_the_state_table_once(self):
-        # About a dozen state sweeps per fit; one table, kept alone, serves all.
+    def test_converges_in_the_n9_stall_region(self):
+        # A start that also shifts alpha and beta stalls on 5 of these 300 draws.
+        rng = np.random.default_rng(20)
+        n = 9
+        for _ in range(300):
+            p = rng.uniform(0.45, 0.55)
+            q = ModelConfig(n, p, lower_bound(p) + 10.0 ** rng.uniform(-10, -6)).q
+            assert maxent_fit_small(p, q, n).residual_norm < 1e-10, (p, q)
+
+    def test_fit_builds_the_state_table_once(self, monkeypatch):
+        # Every state sweep after the first reads the one cached table.
+        sweeps = []
+        state_weights = oracle._state_weights
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return state_weights(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_state_weights", counted)
         _state_table.cache_clear()
         maxent_fit_small(0.4, 0.2224, 8)
         info = _state_table.cache_info()
         assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
-        assert info.hits >= 10
+        assert info.hits == len(sweeps) - 1
 
     def test_size_cap(self):
         with pytest.raises(AdmissibilityError):

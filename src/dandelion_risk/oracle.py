@@ -12,8 +12,8 @@ Three routes, each sharing some inputs with the closed forms it checks:
   loss_pmf checks the branch weights and the log-space kernel, not the rates;
 * a damped-Newton maximum-entropy fit starts from calibrate() with alpha0
   shifted by 0.5, but its answer is fixed by the moment constraints alone,
-  with the partition function and its derivatives obtained by brute-force
-  state sums, so it recovers theta and log Z independently.
+  and one brute-force state sum per parameter vector gives the moments, their
+  covariance and log Z, so it recovers theta and log Z independently.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ def _state_table(n: int) -> np.ndarray:
     The rows are l0, sum(li), l0*sum(li), l1 and l2.  The states run over the
     2^n leaf codes (bit i of a code is l(i+1)) with l0 = 0, then with l0 = 1.
     Only the last table is kept, so repeated calls at one N build it once.
-    Every state sweep builds its table here, so this is where N is capped.
+    Every state sweep builds its table here, so this is where N is bounded.
     """
-    if n > MAX_ENUM_N:
-        raise AdmissibilityError(f"n_credits={n} exceeds the enumeration cap "
-                                 f"{MAX_ENUM_N}")
+    if not 2 <= n <= MAX_ENUM_N:
+        raise AdmissibilityError(f"n_credits={n} must be >= 2 and within the "
+                                 f"enumeration cap {MAX_ENUM_N}")
     codes = np.arange(2**n, dtype=np.uint32)
     bits = (codes[:, None] >> np.arange(n, dtype=np.uint32)) & 1
     leaves = np.array([bits.sum(axis=1), bits[:, 0], bits[:, 1]], dtype=np.float64)
@@ -141,10 +141,21 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
 # is the invariant.
 
 
+def _maxent_sweep(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """E_theta[t(x)], the covariance of t(x) and log Z(theta), from one state sweep."""
+    table, w, m = _state_weights(theta, n)
+    total = w.sum()
+    w /= total
+    t = table[:3]
+    # One dot per statistic: t @ w sums in another order and moves the fit ~1e-12.
+    moments = np.array([w @ row for row in t])
+    mean = t @ w
+    return moments, (t * w) @ t.T - np.outer(mean, mean), float(m + np.log(total))
+
+
 def maxent_log_partition(theta, n: int) -> float:
     """log Z(theta) by summing exp(theta . t(x)) over all 2^(n+1) states."""
-    _, w, m = _state_weights(theta, n)
-    return float(m + np.log(w.sum()))
+    return _maxent_sweep(theta, n)[2]
 
 
 def maxent_moments(theta, n: int) -> np.ndarray:
@@ -152,19 +163,7 @@ def maxent_moments(theta, n: int) -> np.ndarray:
 
     These expectations are the analytic gradient of log Z(theta).
     """
-    table, w, _ = _state_weights(theta, n)
-    w /= w.sum()
-    # One dot per statistic: table[:3] @ w sums in another order and moves the
-    # fit ~1e-12.
-    return np.array([w @ row for row in table[:3]])
-
-
-def _maxent_covariance(theta, n: int) -> np.ndarray:
-    table, w, _ = _state_weights(theta, n)
-    t = table[:3]
-    w /= w.sum()
-    mean = t @ w
-    return (t * w) @ t.T - np.outer(mean, mean)
+    return _maxent_sweep(theta, n)[0]
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,8 @@ def maxent_fit_small(
     Finds theta = (alpha0, alpha, beta) such that the enumerated distribution
     matches E[L0] = p, E[Li] = p (pooled over the exchangeable leaves), and
     E[L0*Li] = q (pooled), by damped Newton iteration on the moment residuals
-    with the exact covariance of the sufficient statistics as Jacobian.
+    with the exact covariance of the sufficient statistics as Jacobian; one
+    state sweep per theta gives its moments, covariance and log Z.
 
     Runs once, from `init` when it is given, otherwise from the closed form
     with alpha0 shifted by 0.5: off the answer, yet close enough to converge
@@ -221,33 +221,33 @@ def maxent_fit_small(
         init = [closed.alpha0 + 0.5, closed.alpha, closed.beta]
 
     theta = np.array(init, dtype=np.float64)
-    resid = maxent_moments(theta, n) - target
-    norm = float(np.linalg.norm(resid))
+    moments, cov, log_z = _maxent_sweep(theta, n)
+    norm = float(np.linalg.norm(moments - target))
     for _ in range(max_iters):
         if norm < tol:
             break
         try:
-            step = np.linalg.solve(_maxent_covariance(theta, n), -resid)
+            step = np.linalg.solve(cov, target - moments)
         except np.linalg.LinAlgError:
             break
         lam = 1.0
         for _ in range(30):
             cand = theta + lam * step
-            cand_resid = maxent_moments(cand, n) - target
-            cand_norm = float(np.linalg.norm(cand_resid))
+            swept = _maxent_sweep(cand, n)
+            cand_norm = float(np.linalg.norm(swept[0] - target))
             if cand_norm < norm:
                 break
             lam *= 0.5
         else:
             break  # step no longer reduces the residual
-        theta, resid, norm = cand, cand_resid, cand_norm
+        theta, norm, (moments, cov, log_z) = cand, cand_norm, swept
     if norm < tol:
         a0, a, b = (float(v) for v in theta)
         matched = CalibratedParams(
             alpha=a,
             alpha0=a0,
             beta=b,
-            log_z=maxent_log_partition(theta, n),
+            log_z=log_z,
             n_credits=n,
         )
         return MaxEntFit(

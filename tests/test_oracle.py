@@ -250,6 +250,26 @@ class TestMaxEntFit:
         assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
         assert info.hits == len(sweeps) - 1
 
+    @pytest.mark.parametrize("init, expected", [(None, 4), ([0.1, 0.1, 0.1], 7)],
+                             ids=["default-start", "halving-start"])
+    def test_fit_sweeps_each_theta_once(self, monkeypatch, init, expected):
+        # One sweep for the start and one per line-search candidate: the accepted
+        # candidate's sweep gives the next Jacobian and the final log Z.  The
+        # halving start rejects a full step once, so that path is counted too.
+        sweeps = []
+        state_weights = oracle._state_weights
+
+        def counted(*args, **kwargs):
+            sweeps.append(args)
+            return state_weights(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_state_weights", counted)
+        fit = maxent_fit_small(0.4, 0.2224, 8, init=init)
+        assert len(sweeps) == expected
+        assert len({np.asarray(theta).tobytes() for theta, _ in sweeps}) == expected
+        log_z = maxent_log_partition(np.array(fit.lagrange), 8)
+        assert fit.matched_params.log_z.hex() == log_z.hex()
+
     def test_size_cap(self):
         with pytest.raises(AdmissibilityError):
             maxent_fit_small(0.4, 0.16, 11)
@@ -259,6 +279,12 @@ class TestMaxEntFit:
     def test_state_sweeps_are_capped(self, sweep, n):
         # At N = 30 the state table alone would take ~86 GB.
         with pytest.raises(AdmissibilityError, match="enumeration cap"):
+            sweep(np.zeros(3), n)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    @pytest.mark.parametrize("sweep", [maxent_moments, maxent_log_partition])
+    def test_state_sweeps_refuse_n_below_2(self, sweep, n):
+        with pytest.raises(AdmissibilityError, match=">= 2"):
             sweep(np.zeros(3), n)
 
     def test_rejects_inadmissible_q(self):

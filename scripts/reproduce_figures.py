@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Emit the four reference figure datasets for p = 0.4, N = 100.
+"""Emit the three datasets for the four reference figures at p = 0.4, N = 100.
 
 Runs the CLI end to end and writes plot-ready CSVs plus manifests:
 

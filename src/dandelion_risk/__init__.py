@@ -23,10 +23,8 @@ from .core_model import (
 )
 from .distribution import (
     LossPmf,
-    joint_log_prob,
     loss_moments,
     loss_pmf,
-    marginal_noncentral_log_prob,
     pair_moment,
     peak_indices,
     rho_noncentral,

@@ -133,15 +133,13 @@ class CalibratedParams:
 
         N*log(1 + e^alpha)   and   alpha0 + N*log(1 + e^(alpha+beta)),
 
-    which correspond to the central node being sound or defaulted.  n_credits
-    is carried along so that callers can verify bit-vector lengths.
+    which correspond to the central node being sound or defaulted.
     """
 
     alpha: float
     alpha0: float
     beta: float
     log_z: float
-    n_credits: int
 
 
 def _softplus(x: float) -> float:
@@ -176,7 +174,7 @@ def calibrate(cfg: ModelConfig) -> CalibratedParams:
         np.logaddexp(n * _softplus(alpha), alpha0 + n * _softplus(alpha + beta))
     )
     return CalibratedParams(
-        alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z, n_credits=n
+        alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z
     )
 
 

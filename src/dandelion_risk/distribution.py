@@ -1,4 +1,4 @@
-"""Exact joint, marginal, and portfolio-loss distributions of the star model.
+"""Exact portfolio-loss distribution of the star model and its moments.
 
 The portfolio loss L = L1 + ... + LN deliberately excludes the central node,
 so its support is {0, ..., N}.  The loss pmf has the closed form
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import CalibratedParams, ModelConfig, calibrate
+from .core_model import ModelConfig, calibrate
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -85,7 +85,8 @@ def _logaddexp_window(alpha0: float, beta: float, n: int) -> tuple[int, int]:
 class LossPmf:
     """Loss distribution on {0, ..., n}, stored in log space.
 
-    The linear-space view `mass` is exp(log_mass) elementwise.  log_mass is
+    The support end n is derived, len(log_mass) - 1, not stored.  The
+    linear-space view `mass` is exp(log_mass) elementwise.  log_mass is
     always finite; masses below ~1e-308 underflow to 0.0 in the linear view,
     which happens in the far tails and, very close to the admissible
     correlation boundary, between the two branches.  `exp` runs only on the
@@ -93,19 +94,20 @@ class LossPmf:
     would give.
     """
 
-    n: int
     log_mass: np.ndarray
 
     def __post_init__(self) -> None:
         lm = np.array(self.log_mass, dtype=np.float64)
-        if lm.shape != (self.n + 1,):
-            raise ValueError(
-                f"log_mass has shape {lm.shape}, expected ({self.n + 1},)"
-            )
+        if lm.ndim != 1 or lm.size == 0:
+            raise ValueError(f"log_mass has shape {lm.shape}, expected 1-D, non-empty")
         if not np.all(np.isfinite(lm)):
             raise ValueError("log_mass entries must all be finite")
         lm.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
+
+    @property
+    def n(self) -> int:
+        return len(self.log_mass) - 1
 
     @cached_property
     def mass(self) -> np.ndarray:
@@ -113,47 +115,6 @@ class LossPmf:
         np.exp(self.log_mass, out=out, where=self.log_mass > EXP_FLOOR)
         out.flags.writeable = False
         return out
-
-
-def _bit_vector(l, n: int) -> np.ndarray:
-    arr = np.asarray(l)
-    if arr.shape != (n,):
-        raise ValueError(f"bit vector has shape {arr.shape}, expected ({n},)")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("bit vector entries must be 0 or 1")
-    return arr
-
-
-def joint_log_prob(params: CalibratedParams, l0: int, l) -> float:
-    """Log probability of one full configuration (l0, l1, .., lN).
-
-    Returns alpha0*l0 + alpha*sum(l) + beta*l0*sum(l) - log_z.  Exponentiating
-    over all 2^(N+1) configurations sums to one.
-    """
-    if l0 not in (0, 1):
-        raise ValueError(f"l0={l0!r} must be 0 or 1")
-    s = int(_bit_vector(l, params.n_credits).sum())
-    return (
-        params.alpha0 * l0
-        + params.alpha * s
-        + params.beta * l0 * s
-        - params.log_z
-    )
-
-
-def marginal_noncentral_log_prob(params: CalibratedParams, l) -> float:
-    """Log probability of a leaf configuration with the central node summed out.
-
-    Stable two-term log-sum of the l0=0 and l0=1 branch exponents.
-    """
-    s = int(_bit_vector(l, params.n_credits).sum())
-    return float(
-        np.logaddexp(
-            params.alpha * s,
-            params.alpha0 + (params.alpha + params.beta) * s,
-        )
-        - params.log_z
-    )
 
 
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
@@ -179,7 +140,7 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     log_mass = _log_binom_table(n)
     log_mass += branches
     log_mass -= params.log_z
-    return LossPmf(n=n, log_mass=log_mass)
+    return LossPmf(log_mass)
 
 
 def pair_moment(cfg: ModelConfig) -> float:

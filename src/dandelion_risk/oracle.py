@@ -248,7 +248,6 @@ def maxent_fit_small(
             alpha0=a0,
             beta=b,
             log_z=log_z,
-            n_credits=n,
         )
         return MaxEntFit(
             lagrange=(a0, a, b), residual_norm=norm, matched_params=matched

@@ -468,9 +468,7 @@ sys.modules["scipy"] = None  # every import of scipy or a submodule now fails
 import dandelion_risk as dr
 from dandelion_risk.cli import main
 cfg = dr.ModelConfig(6, 0.4, -0.26)
-params = dr.calibrate(cfg)
-dr.joint_log_prob(params, 1, [0, 1, 0, 1, 0, 1])
-dr.marginal_noncentral_log_prob(params, [0, 1, 0, 1, 0, 1])
+dr.calibrate(cfg)
 dr.rho_noncentral(cfg)
 dr.risk_report(dr.loss_pmf(cfg))
 dr.scan_rho(0.4, 6, dr.GridSpec(count=3))

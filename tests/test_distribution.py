@@ -1,6 +1,5 @@
-"""Tests for the joint/marginal/loss distributions and their closed-form moments."""
+"""Tests for the loss distribution, its log-space kernel and its closed-form moments."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -14,11 +13,9 @@ from scipy import stats
 from dandelion_risk import (
     LossPmf,
     ModelConfig,
-    calibrate,
-    joint_log_prob,
+    enumerate_model,
     loss_moments,
     loss_pmf,
-    marginal_noncentral_log_prob,
     pair_moment,
     peak_indices,
     rho_noncentral,
@@ -43,89 +40,18 @@ from conftest import (
 
 def test_loss_pmf_container_validates():
     with pytest.raises(ValueError):
-        LossPmf(n=3, log_mass=np.zeros(3))
+        LossPmf(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        LossPmf(n=2, log_mass=np.array([0.0, -np.inf, 0.0]))
-    pmf = LossPmf(n=1, log_mass=np.log([0.5, 0.5]))
+        LossPmf(np.zeros(0))
+    with pytest.raises(ValueError):
+        LossPmf(np.array([0.0, -np.inf, 0.0]))
+    pmf = LossPmf(np.log([0.5, 0.5]))
+    assert pmf.n == 1
     np.testing.assert_allclose(pmf.mass, [0.5, 0.5], atol=1e-15)
     with pytest.raises(ValueError):
         pmf.log_mass[0] = 0.0
     with pytest.raises(ValueError):
         pmf.mass[0] = 0.0
-
-
-class TestJointLogProb:
-    def test_independence_factorizes(self):
-        cfg = ModelConfig(n_credits=5, p=0.4, rho=0.0)
-        prm = calibrate(cfg)
-        for l0 in (0, 1):
-            for bits in [(0, 0, 0, 0, 0), (1, 0, 1, 1, 0), (1, 1, 1, 1, 1)]:
-                expect = math.log(0.4) * (l0 + sum(bits)) + math.log(0.6) * (
-                    6 - l0 - sum(bits)
-                )
-                got = joint_log_prob(prm, l0, bits)
-                assert got == pytest.approx(expect, abs=1e-12)
-
-    def test_normalization_and_pair_moment_by_enumeration(self):
-        cfg = ModelConfig(n_credits=3, p=0.4, rho=-0.5)
-        prm = calibrate(cfg)
-        total = 0.0
-        e_l0l1 = 0.0
-        for l0 in (0, 1):
-            for bits in itertools.product((0, 1), repeat=3):
-                pr = math.exp(joint_log_prob(prm, l0, bits))
-                total += pr
-                e_l0l1 += l0 * bits[0] * pr
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert e_l0l1 == pytest.approx(0.04, abs=1e-12)
-
-    def test_length_mismatch(self):
-        prm = calibrate(ModelConfig(n_credits=4, p=0.4, rho=0.2))
-        with pytest.raises(ValueError):
-            joint_log_prob(prm, 0, [1, 0, 1])
-        with pytest.raises(ValueError):
-            joint_log_prob(prm, 2, [1, 0, 1, 0])
-        with pytest.raises(ValueError):
-            joint_log_prob(prm, 0, [1, 0, 2, 0])
-
-
-class TestMarginalNoncentral:
-    def test_marginalization_identity(self):
-        cfg = ModelConfig(n_credits=6, p=0.3, rho=-0.2)
-        prm = calibrate(cfg)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            bits = rng.integers(0, 2, size=6)
-            expect = np.logaddexp(
-                joint_log_prob(prm, 0, bits), joint_log_prob(prm, 1, bits)
-            )
-            assert marginal_noncentral_log_prob(prm, bits) == pytest.approx(
-                float(expect), abs=1e-12
-            )
-
-    def test_independence_case(self):
-        prm = calibrate(ModelConfig(n_credits=5, p=0.4, rho=0.0))
-        bits = (1, 0, 0, 1, 1)
-        expect = 3 * math.log(0.4) + 2 * math.log(0.6)
-        assert marginal_noncentral_log_prob(prm, bits) == pytest.approx(
-            expect, abs=1e-12
-        )
-
-    def test_small_case_against_sum_over_center(self):
-        cfg = ModelConfig(n_credits=4, p=0.4, rho=0.26)
-        prm = calibrate(cfg)
-        bits = (1, 1, 0, 0)
-        brute = sum(math.exp(joint_log_prob(prm, l0, bits)) for l0 in (0, 1))
-        assert math.exp(marginal_noncentral_log_prob(prm, bits)) == pytest.approx(
-            brute, abs=1e-14
-        )
-
-    def test_permutation_invariance(self):
-        prm = calibrate(ModelConfig(n_credits=6, p=0.25, rho=-0.1))
-        base = [1, 1, 1, 0, 0, 0]
-        ref = marginal_noncentral_log_prob(prm, base)
-        for perm in itertools.islice(itertools.permutations(base), 0, 720, 97):
-            assert marginal_noncentral_log_prob(prm, list(perm)) == ref
 
 
 class TestLossPmf:
@@ -163,12 +89,8 @@ class TestLossPmf:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_enumeration_over_leaf_states(self, n):
         cfg = ModelConfig(n_credits=n, p=0.4, rho=-0.5)
-        prm = calibrate(cfg)
         pmf = loss_pmf(cfg)
-        sums = np.zeros(n + 1)
-        for bits in itertools.product((0, 1), repeat=n):
-            sums[sum(bits)] += math.exp(marginal_noncentral_log_prob(prm, bits))
-        assert np.abs(pmf.mass - sums).max() < 1e-10
+        assert np.abs(pmf.mass - enumerate_model(cfg).loss_pmf_bf).max() < 1e-10
 
 
 @st.composite
@@ -210,7 +132,7 @@ class TestSkippedWork:
         # Spans the subnormal results just above the floor and the exact
         # zeros below it.
         log_mass = np.linspace(EXP_FLOOR - 30.0, -690.0, 2001)
-        pmf = LossPmf(n=2000, log_mass=log_mass)
+        pmf = LossPmf(log_mass)
         assert pmf.mass.tobytes() == np.exp(log_mass).tobytes()
 
     @settings(max_examples=300, deadline=None)

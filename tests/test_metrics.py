@@ -87,7 +87,7 @@ class TestValueAtRisk:
 
     def test_level_met_exactly_on_either_side(self):
         # P(L <= l) = (l + 1)/4 exactly, so each level is met exactly at l.
-        pmf = LossPmf(n=3, log_mass=np.full(4, np.log(0.25)))
+        pmf = LossPmf(np.full(4, np.log(0.25)))
         assert [value_at_risk(pmf, level) for level in (0.25, 0.5, 0.75)] == [0, 1, 2]
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5])
@@ -183,7 +183,7 @@ class TestModeOf:
         assert 55 <= mode <= 65
 
     def test_tie_breaks_to_smallest_index(self):
-        flat = LossPmf(n=4, log_mass=np.full(5, np.log(0.2)))
+        flat = LossPmf(np.full(5, np.log(0.2)))
         mode, prob = mode_of(flat)
         assert mode == 0
         assert prob == pytest.approx(0.2, abs=1e-15)

@@ -47,8 +47,7 @@ from .oracle import (
     MaxEntFit,
     enumerate_model,
     maxent_fit_small,
-    maxent_log_partition,
-    maxent_moments,
+    maxent_sweep,
     sample,
 )
 

@@ -235,8 +235,9 @@ def _add_model_flags(parser, with_rho=True):
                         help="Default probability shared by all nodes, in (0,1).")
     if with_rho:
         parser.add_argument("--rho", type=float, required=True,
-                            help="Central correlation; must lie strictly inside "
-                                 "the admissible interval for p.")
+                            help="Central correlation, strictly inside the "
+                                 "admissible interval for p. Give a negative in "
+                                 "exponent form as --rho=-1e-05.")
     parser.add_argument("--n", type=int, required=True,
                         help="Number of non-central credits (loss support is 0..n; "
                              "the central node is excluded from the loss).")

@@ -6,9 +6,10 @@ and each Li.  The joint law is the exponential family
 
     P(l0, l1, .., lN) = (1/Z) exp(alpha0*l0 + alpha*sum(li) + beta*l0*sum(li))
 
-and the three natural parameters have closed forms in (p, q), where
-q = E[L0*Li] = rho*p*(1-p) + p**2 is the joint default probability of the
-central node and any leaf.
+and the three natural parameters have closed forms in p and the two leaf
+default rates conditional on the central node, r0 = p*(1-rho) and
+r1 = p + rho*(1-p).  q = E[L0*Li] = rho*p*(1-p) + p**2 = p*r1 is the joint
+default probability of the central node and any leaf.
 
 Everything here works in log space: Z is never formed in linear space because
 either of its two branches can overflow or underflow a double at N ~ 100.
@@ -49,9 +50,10 @@ class RhoInterval:
 def rho_bounds(p: float) -> RhoInterval:
     """Admissible open interval for the central correlation rho.
 
-    The joint-moment constraint 0 < q < p forces rho > -p/(1-p), and the
-    log arguments of the calibration stay positive only for
-    rho > -(1-p)/p; together with rho < 1 this gives the open interval
+    It is exactly where both conditional default rates of
+    :func:`conditional_probs` lie in (0, 1): r1 = p + rho*(1-p) > 0 is
+    rho > -p/(1-p), r0 = p*(1-rho) < 1 is rho > -(1-p)/p, and r0 > 0 and
+    r1 < 1 are both rho < 1.  So the open interval is
 
         ( max(-p/(1-p), -(1-p)/p),  1 )
 
@@ -147,43 +149,47 @@ def _softplus(x: float) -> float:
     return float(np.logaddexp(0.0, x))
 
 
-def calibrate(cfg: ModelConfig) -> CalibratedParams:
-    """Closed-form natural parameters matching E[L0]=E[Li]=p and E[L0*Li]=q.
-
-        alpha  = log((p - q) / (1 - 2p + q))
-        alpha0 = (N - 1)*log((1-p)/p) + N*alpha
-        beta   = log(q / (p - q)) - alpha
-
-    All logarithm arguments are strictly positive for any valid ModelConfig,
-    so every output is finite; log_z is assembled purely in log space.
-    """
-    p, n = cfg.p, cfg.n_credits
-    q = cfg.q
-    top = p - q
-    bot = 1.0 - 2.0 * p + q
-    if top <= 0.0 or bot <= 0.0 or q <= 0.0:
-        # Unreachable for a validated config; kept as a hard stop against NaNs.
-        raise AdmissibilityError(
-            f"log argument vanished (p-q={top!r}, 1-2p+q={bot!r}, q={q!r}); "
-            f"rho={cfg.rho!r} is too close to the admissible boundary"
-        )
-    alpha = math.log(top) - math.log(bot)
-    alpha0 = (n - 1) * math.log((1.0 - p) / p) + n * alpha
-    beta = (math.log(q) - math.log(top)) - alpha
-    log_z = float(
-        np.logaddexp(n * _softplus(alpha), alpha0 + n * _softplus(alpha + beta))
-    )
-    return CalibratedParams(
-        alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z
-    )
-
-
 def conditional_probs(cfg: ModelConfig) -> tuple[float, float]:
     """Leaf default probabilities conditional on the central node's state.
 
-    Returns (P(Li=1 | L0=0), P(Li=1 | L0=1)) = ((p-q)/(1-p), q/p).  Both lie
-    in (0, 1) for any valid config, and they mix back to the marginal:
-    (1-p)*first + p*second = p.
+    Returns (r0, r1) = (P(Li=1 | L0=0), P(Li=1 | L0=1)) = (p*(1-rho),
+    p + rho*(1-p)).  Given L0 the leaves are i.i.d. Bernoulli at the matching
+    rate, so these two numbers and the weights 1-p and p are the whole model;
+    rho is admissible exactly where both lie in (0, 1), and they mix back to
+    the marginal: (1-p)*r0 + p*r1 = p.
     """
-    p, q = cfg.p, cfg.q
-    return (p - q) / (1.0 - p), q / p
+    p, rho = cfg.p, cfg.rho
+    return p * (1.0 - rho), p + rho * (1.0 - p)
+
+
+def calibrate(cfg: ModelConfig) -> CalibratedParams:
+    """Closed-form natural parameters matching E[L0]=E[Li]=p and E[L0*Li]=q.
+
+    With (r0, r1) = :func:`conditional_probs` and their complements formed
+    directly, not as 1 - r, as 1-r0 = (1-p) + p*rho and 1-r1 = (1-p)*(1-rho):
+
+        alpha        = logit r0
+        alpha + beta = logit r1
+        alpha0       = logit p + N*log((1-r1)/(1-r0))
+
+    The last line sets P(L0=1)/P(L0=0) = p/(1-p).  Every output is finite;
+    log_z is assembled purely in log space.
+    """
+    p, rho, n = cfg.p, cfg.rho, cfg.n_credits
+    r0, r1 = conditional_probs(cfg)
+    s0, s1 = (1.0 - p) + p * rho, (1.0 - p) * (1.0 - rho)
+    if min(r0, r1, s0, s1) <= 0.0:
+        # ModelConfig's rho margin and q check keep all four above 0.0, at a
+        # subnormal p too; only a config that skipped that validation stops here.
+        raise AdmissibilityError(
+            f"conditional default rates ({r0!r}, {r1!r}) or their complements "
+            f"({s0!r}, {s1!r}) vanished at p={p!r}, rho={rho!r}"
+        )
+    log_s0, log_s1 = math.log(s0), math.log(s1)
+    alpha = math.log(r0) - log_s0
+    beta = (math.log(r1) - log_s1) - alpha
+    alpha0 = math.log(p / (1.0 - p)) + n * (log_s1 - log_s0)
+    log_z = float(
+        np.logaddexp(n * _softplus(alpha), alpha0 + n * _softplus(alpha + beta))
+    )
+    return CalibratedParams(alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z)

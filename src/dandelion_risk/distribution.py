@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import ModelConfig, calibrate
+from .core_model import ModelConfig, calibrate, conditional_probs
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -146,12 +146,12 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
 def pair_moment(cfg: ModelConfig) -> float:
     """Joint default moment E[Li*Lj] of two distinct leaves.
 
-    Summing out everything but two leaves leaves two closed-form terms:
-    (p-q)^2/(1-p) from the sound-central branch and q^2/p from the defaulted
-    one.
+    Given the central node the leaves are independent at the rates
+    (r0, r1) of :func:`conditional_probs`, so the moment mixes their
+    squares: (1-p)*r0**2 + p*r1**2.
     """
-    p, q = cfg.p, cfg.q
-    return (p - q) ** 2 / (1.0 - p) + q * q / p
+    r0, r1 = conditional_probs(cfg)
+    return (1.0 - cfg.p) * r0**2 + cfg.p * r1**2
 
 
 def rho_noncentral(cfg: ModelConfig) -> float:

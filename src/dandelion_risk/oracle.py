@@ -141,8 +141,12 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
 # is the invariant.
 
 
-def _maxent_sweep(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """E_theta[t(x)], the covariance of t(x) and log Z(theta), from one state sweep."""
+def maxent_sweep(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """E_theta[t(x)], the covariance of t(x) and log Z(theta), from one state sweep.
+
+    t(x) = (l0, sum(li), l0*sum(li)); log Z sums exp(theta . t(x)) over all
+    2^(n+1) states, and the moments are its analytic gradient.
+    """
     table, w, m = _state_weights(theta, n)
     total = w.sum()
     w /= total
@@ -151,19 +155,6 @@ def _maxent_sweep(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     moments = np.array([w @ row for row in t])
     mean = t @ w
     return moments, (t * w) @ t.T - np.outer(mean, mean), float(m + np.log(total))
-
-
-def maxent_log_partition(theta, n: int) -> float:
-    """log Z(theta) by summing exp(theta . t(x)) over all 2^(n+1) states."""
-    return _maxent_sweep(theta, n)[2]
-
-
-def maxent_moments(theta, n: int) -> np.ndarray:
-    """E_theta[t(x)] = (E[L0], E[sum Li], E[L0 sum Li]) by state enumeration.
-
-    These expectations are the analytic gradient of log Z(theta).
-    """
-    return _maxent_sweep(theta, n)[0]
 
 
 @dataclass(frozen=True)
@@ -221,7 +212,7 @@ def maxent_fit_small(
         init = [closed.alpha0 + 0.5, closed.alpha, closed.beta]
 
     theta = np.array(init, dtype=np.float64)
-    moments, cov, log_z = _maxent_sweep(theta, n)
+    moments, cov, log_z = maxent_sweep(theta, n)
     norm = float(np.linalg.norm(moments - target))
     for _ in range(max_iters):
         if norm < tol:
@@ -233,7 +224,7 @@ def maxent_fit_small(
         lam = 1.0
         for _ in range(30):
             cand = theta + lam * step
-            swept = _maxent_sweep(cand, n)
+            swept = maxent_sweep(cand, n)
             cand_norm = float(np.linalg.norm(swept[0] - target))
             if cand_norm < norm:
                 break

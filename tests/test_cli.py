@@ -189,6 +189,26 @@ class TestMetricsCommand:
         data = json.loads(out)["data"]
         assert data["var_value"] == int(stats.binom.ppf(0.5, 100, 0.4)) == 40
 
+    def test_exponent_form_negative_rho_joined_to_its_flag(self, capsys):
+        # repr writes small negatives as -1e-05, which argparse only takes
+        # joined to the flag.
+        runs = [run(capsys, "metrics", "--p", "0.4", *rho, "--n", "100")
+                for rho in (["--rho=-1e-05"], ["--rho", "-0.00001"])]
+        assert [code for code, _, _ in runs] == [0, 0]
+        joined, spaced = (json.loads(out) for _, out, _ in runs)
+        assert joined["data"] == spaced["data"]
+        assert joined["manifest"]["parameters"] == spaced["manifest"]["parameters"]
+
+    def test_subnormal_p(self, capsys):
+        # 1/p overflows here, so no closed form may divide by p.
+        argv = ["--p", "1e-310", "--rho", "0.5", "--n", "10"]
+        code, out, _ = run(capsys, "metrics", *argv)
+        assert code == 0
+        assert json.loads(out)["data"]["mean"] == pytest.approx(10 * 1e-310, rel=1e-12)
+        code, out, _ = run(capsys, "calibrate", *argv)
+        assert code == 0
+        assert "inf" not in out
+
     def test_invalid_level_exits_2(self, capsys):
         code, _, _ = run(capsys, "metrics", "--p", "0.4", "--rho", "0", "--n", "100",
                          "--level", "1.5")

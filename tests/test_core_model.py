@@ -21,7 +21,7 @@ from dandelion_risk import (
     rho_to_q,
 )
 
-from conftest import rho_at
+from conftest import lower_bound, rho_at
 
 
 class TestRhoBounds:
@@ -152,12 +152,43 @@ class TestCalibrate:
 
     @given(p=st.floats(0.05, 0.95), t=st.floats(0.02, 0.98))
     def test_beta_combined_log_form(self, p, t):
-        # log(q/(p-q)) - alpha == log(q*(1-2p+q)/(p-q)^2); both forms in use.
+        # beta in the independent q form log(q*(1-2p+q)/(p-q)^2).
         cfg = ModelConfig(n_credits=5, p=p, rho=rho_at(p, t))
         prm = calibrate(cfg)
         q = cfg.q
         combined = math.log(q * (1.0 - 2.0 * p + q) / (p - q) ** 2)
         assert prm.beta == pytest.approx(combined, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-12, 0.3, 0.7, 1 - 1e-9, 1 - 1e-12,
+                                   1 - 1e-15])
+    def test_matches_60_digit_reference(self, p):
+        # alpha, alpha+beta and alpha0 of the double inputs, from the exact
+        # conditional rates.  At p = 0.7 the centre has r0 = 1/2, so alpha = 0
+        # there, hence errors relative to max(|value|, 1).
+        def logit(r):
+            return mpmath.log(r) - mpmath.log(1 - r)
+
+        lo = lower_bound(p)
+        checked = 0
+        for rho, n in itertools.product((lo + 1e-6, (lo + 1.0) / 2, 1.0 - 1e-6),
+                                        (2, 100, 10**6)):
+            try:
+                cfg = ModelConfig(n, p, rho)
+            except AdmissibilityError:
+                continue
+            prm = calibrate(cfg)
+            assert all(map(math.isfinite, (prm.alpha, prm.alpha0, prm.beta, prm.log_z)))
+            with mpmath.workdps(60):
+                mp, mr = mpmath.mpf(p), mpmath.mpf(rho)
+                r0, r1 = mp * (1 - mr), mp + mr * (1 - mp)
+                exact = (logit(r0), logit(r1),
+                         logit(mp) + n * mpmath.log((1 - r1) / (1 - r0)))
+                got = (prm.alpha, prm.alpha + prm.beta, prm.alpha0)
+                for name, g, e in zip(("alpha", "alpha+beta", "alpha0"), got, exact):
+                    err = float(abs(g - e) / max(abs(e), 1))
+                    assert err < 1e-10, (name, rho, n, err)
+            checked += 1
+        assert checked
 
     def test_no_overflow_near_both_bounds(self):
         for p in (0.2, 0.4, 0.5, 0.7):

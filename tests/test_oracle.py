@@ -12,8 +12,7 @@ from dandelion_risk import (
     enumerate_model,
     loss_pmf,
     maxent_fit_small,
-    maxent_log_partition,
-    maxent_moments,
+    maxent_sweep,
     pair_moment,
     rho_to_q,
     sample,
@@ -163,20 +162,20 @@ class TestMaxEntFit:
     def test_moment_match_is_the_invariant(self):
         p, q, n = 0.35, 0.1, 7
         fit = maxent_fit_small(p, q, n, tol=1e-11)
-        moments = maxent_moments(np.array(fit.lagrange), n)
+        moments = maxent_sweep(np.array(fit.lagrange), n)[0]
         np.testing.assert_allclose(moments, [p, n * p, n * q], atol=1e-10)
         assert fit.residual_norm < 1e-11
 
     def test_gradient_matches_finite_differences(self):
         theta = np.array([-2.1, 0.4, -0.7])
         n = 6
-        analytic = maxent_moments(theta, n)
+        analytic = maxent_sweep(theta, n)[0]
         h = 1e-6
         for k in range(3):
             up, dn = theta.copy(), theta.copy()
             up[k] += h
             dn[k] -= h
-            fd = (maxent_log_partition(up, n) - maxent_log_partition(dn, n)) / (2 * h)
+            fd = (maxent_sweep(up, n)[2] - maxent_sweep(dn, n)[2]) / (2 * h)
             assert abs(fd - analytic[k]) / abs(analytic[k]) < 1e-5
 
     def test_custom_init_converges(self):
@@ -202,7 +201,7 @@ class TestMaxEntFit:
         q = ModelConfig(n, p, rho).q
         fit = maxent_fit_small(p, q, n)
         assert fit.residual_norm < 1e-10
-        np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
+        np.testing.assert_allclose(maxent_sweep(np.array(fit.lagrange), n)[0],
                                    [p, n * p, n * q], rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("p, gap, old_start", [
@@ -222,7 +221,7 @@ class TestMaxEntFit:
             maxent_fit_small(p, cfg.q, n, init=starts[old_start])
         fit = maxent_fit_small(p, cfg.q, n)
         assert fit.residual_norm < 1e-10
-        np.testing.assert_allclose(maxent_moments(np.array(fit.lagrange), n),
+        np.testing.assert_allclose(maxent_sweep(np.array(fit.lagrange), n)[0],
                                    [p, n * p, n * cfg.q], rtol=0, atol=1e-9)
 
     def test_converges_in_the_n9_stall_region(self):
@@ -267,25 +266,29 @@ class TestMaxEntFit:
         fit = maxent_fit_small(0.4, 0.2224, 8, init=init)
         assert len(sweeps) == expected
         assert len({np.asarray(theta).tobytes() for theta, _ in sweeps}) == expected
-        log_z = maxent_log_partition(np.array(fit.lagrange), 8)
+        log_z = maxent_sweep(np.array(fit.lagrange), 8)[2]
         assert fit.matched_params.log_z.hex() == log_z.hex()
 
     def test_size_cap(self):
         with pytest.raises(AdmissibilityError):
             maxent_fit_small(0.4, 0.16, 11)
 
+    # The sweep's moments and log Z, each read as its own slice.
+    SWEEP_PARTS = pytest.mark.parametrize(
+        "part", [0, 2], ids=["maxent_moments", "maxent_log_partition"])
+
     @pytest.mark.parametrize("n", [MAX_ENUM_N + 1, 30])
-    @pytest.mark.parametrize("sweep", [maxent_moments, maxent_log_partition])
-    def test_state_sweeps_are_capped(self, sweep, n):
+    @SWEEP_PARTS
+    def test_state_sweeps_are_capped(self, part, n):
         # At N = 30 the state table alone would take ~86 GB.
         with pytest.raises(AdmissibilityError, match="enumeration cap"):
-            sweep(np.zeros(3), n)
+            maxent_sweep(np.zeros(3), n)[part]
 
     @pytest.mark.parametrize("n", [1, 0, -1])
-    @pytest.mark.parametrize("sweep", [maxent_moments, maxent_log_partition])
-    def test_state_sweeps_refuse_n_below_2(self, sweep, n):
+    @SWEEP_PARTS
+    def test_state_sweeps_refuse_n_below_2(self, part, n):
         with pytest.raises(AdmissibilityError, match=">= 2"):
-            sweep(np.zeros(3), n)
+            maxent_sweep(np.zeros(3), n)[part]
 
     def test_rejects_inadmissible_q(self):
         with pytest.raises(AdmissibilityError):

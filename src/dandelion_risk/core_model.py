@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reject rho closer than this to either end of the open admissible interval;
-# the logarithms in the calibration formulas diverge at the ends.
+# Reject rho within this margin of either end of the open admissible interval,
+# where the calibration's logarithms diverge; at the lower end it is relative
+# to |lower|, which shrinks with p or 1-p (-1e-12 at p = 1e-12).
 EPS_BOUND = 1e-10
 
 
@@ -73,7 +74,7 @@ def rho_to_q(p: float, rho: float) -> float:
     bounds = rho_bounds(p)
     if not math.isfinite(rho):
         raise AdmissibilityError(f"rho={rho!r} is not finite")
-    if rho - bounds.lower <= EPS_BOUND:
+    if rho - bounds.lower <= EPS_BOUND * abs(bounds.lower):
         raise AdmissibilityError(
             f"rho={rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
             f"= {bounds.lower!r} at p={p!r}; admissible open interval is "
@@ -106,8 +107,8 @@ class ModelConfig:
 
     Both the central node and the leaves share the same marginal default
     probability p.  Validation enforces rho strictly inside the open interval
-    from :func:`rho_bounds` (at distance > EPS_BOUND from each end) and the
-    implied q inside (0, p).
+    from :func:`rho_bounds`, at distance > EPS_BOUND*|lower| from the lower
+    end and > EPS_BOUND from the upper end 1, and the implied q inside (0, p).
     """
 
     n_credits: int

@@ -19,8 +19,14 @@ precision, so its output is bit-for-bit that of the full-array formulas:
   ``np.logaddexp`` returns the larger branch, so it runs only on the one
   window of l (about 1600/|beta| wide) where the gap is smaller.
 * ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
-  the linear view exponentiates only the entries above it.
+  the linear view exponentiates only its span: the first to the last log
+  mass above it.  Outside the span every mass is 0.0, so VaR, mode and peaks
+  read the span alone; the moments keep their full-support dot products.
 * log C(N, l) comes from one prefix of log-factorials shared by every N.
+
+``loss_pmf`` allocates its result, the log-binomial table, and one scratch
+column of N+1 floats, turned into the branch terms in place; the window gets
+one temporary of its own size.
 """
 
 from __future__ import annotations
@@ -85,24 +91,30 @@ def _logaddexp_window(alpha0: float, beta: float, n: int) -> tuple[int, int]:
 class LossPmf:
     """Loss distribution on {0, ..., n}, stored in log space.
 
-    The support end n is derived, len(log_mass) - 1, not stored.  The
-    linear-space view `mass` is exp(log_mass) elementwise.  log_mass is
-    always finite; masses below ~1e-308 underflow to 0.0 in the linear view,
-    which happens in the far tails and, very close to the admissible
-    correlation boundary, between the two branches.  `exp` runs only on the
-    entries above EXP_FLOOR = -746; every other entry is exactly 0.0, as exp
-    would give.
+    The support end n is derived, len(log_mass) - 1, not stored.  log_mass is
+    always finite and read-only.  A read-only float64 array that owns its data
+    is kept as it is, which is how `loss_pmf` hands over its fresh result; any
+    other input, a writeable array included, is copied.
+
+    The linear-space view `mass` is exp(log_mass) elementwise, computed with
+    `span`.  Masses below ~1e-308 underflow to 0.0 in it, which happens in the
+    far tails and, very close to the admissible correlation boundary, between
+    the two branches.
     """
 
     log_mass: np.ndarray
 
     def __post_init__(self) -> None:
-        lm = np.array(self.log_mass, dtype=np.float64)
+        lm = self.log_mass
+        if not (type(lm) is np.ndarray and lm.dtype == np.float64
+                and lm.base is None and not lm.flags.writeable):
+            lm = np.array(lm, dtype=np.float64)
+            lm.flags.writeable = False
         if lm.ndim != 1 or lm.size == 0:
             raise ValueError(f"log_mass has shape {lm.shape}, expected 1-D, non-empty")
-        if not np.all(np.isfinite(lm)):
+        # min and max carry any NaN; together they find any infinity.
+        if not (math.isfinite(lm.min()) and math.isfinite(lm.max())):
             raise ValueError("log_mass entries must all be finite")
-        lm.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
 
     @property
@@ -110,11 +122,27 @@ class LossPmf:
         return len(self.log_mass) - 1
 
     @cached_property
+    def span(self) -> tuple[int, int]:
+        """[a, b) from the first to the last log mass above EXP_FLOOR, else all.
+
+        Every mass outside it is 0.0; inside, exp also gives 0.0 up to -745.13.
+        `mass` is computed here: `exp` runs only inside the span, above the floor.
+        """
+        above = self.log_mass > EXP_FLOOR
+        bits = above.tobytes()  # bytes.find and bytes.rfind are fast scans
+        last = bits.rfind(1)
+        a, b = (bits.find(1), last + 1) if last >= 0 else (0, len(bits))
+        mass = np.zeros(len(bits))
+        # The mask skips exp at or below the floor, ~20 ns each against ~1 ns.
+        np.exp(self.log_mass[a:b], out=mass[a:b], where=above[a:b])
+        mass.flags.writeable = False
+        self.__dict__["mass"] = mass
+        return a, b
+
+    @cached_property
     def mass(self) -> np.ndarray:
-        out = np.zeros(self.n + 1)
-        np.exp(self.log_mass, out=out, where=self.log_mass > EXP_FLOOR)
-        out.flags.writeable = False
-        return out
+        self.span  # computes and caches `mass` too
+        return self.__dict__["mass"]
 
 
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
@@ -129,17 +157,27 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     """
     params = calibrate(cfg)
     n = cfg.n_credits
-    l = np.arange(n + 1, dtype=np.float64)
-    x = params.alpha * l
-    y = params.alpha0 + (params.alpha + params.beta) * l
-    lo, hi = _logaddexp_window(params.alpha0, params.beta, n)
-    branches = np.maximum(x, y)
-    np.logaddexp(x[lo:hi], y[lo:hi], out=branches[lo:hi])
-    # At l = 0 with alpha < 0 the max is -0.0 where logaddexp gives +0.0;
-    # the table entry there is +0.0, so the sums agree.
+    alpha0, alpha, slope = params.alpha0, params.alpha, params.alpha + params.beta
+    lo, hi = _logaddexp_window(alpha0, params.beta, n)
+    # Column l becomes the branch terms in place.  Past the window, on the
+    # far side (where beta, or alpha0 if beta = 0, makes the gap >= LSE_GAP),
+    # the larger is y = alpha0 + slope*l; on the near side x = alpha*l.
+    col = np.arange(n + 1, dtype=np.float64)
+    y = col[lo:hi] * slope
+    y += alpha0
+    grows = (params.beta or alpha0) > 0.0
+    near, far = (col[:hi], col[hi:]) if grows else (col[lo:], col[:lo])
+    near *= alpha
+    far *= slope
+    far += alpha0
+    window = col[lo:hi]
+    np.logaddexp(window, y, out=window)
+    # At l = 0 with alpha < 0 the near branch is -0.0 where logaddexp gives
+    # +0.0; the table entry there is +0.0, so the sums agree.
     log_mass = _log_binom_table(n)
-    log_mass += branches
+    log_mass += col
     log_mass -= params.log_z
+    log_mass.flags.writeable = False
     return LossPmf(log_mass)
 
 
@@ -173,7 +211,8 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     l = np.arange(pmf.n + 1, dtype=np.float64)
     mass = pmf.mass
     mean = float(l @ mass)
-    variance = float((l * l) @ mass - mean * mean)
+    l *= l
+    variance = float(l @ mass - mean * mean)
     return mean, variance
 
 

@@ -81,20 +81,26 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     """
     if not (0.0 < level < 1.0):
         raise AdmissibilityError(f"confidence level={level!r} must be in (0, 1)")
-    # tail[k] = P(L >= n - k)
-    tail = np.cumsum(pmf.mass[::-1])
-    var = pmf.n - int(np.searchsorted(tail, 1.0 - max(level, 0.5), side="right"))
+    # Masses outside the span are 0.0, so the sums over it are bit for bit
+    # those over the whole support.  tail[k] = P(L >= b - 1 - k), and k = b - a
+    # means that no tail, even the total mass, exceeds the target.
+    a, b = pmf.span
+    mass = pmf.mass[a:b]
+    tail = mass[::-1].cumsum()
+    k = int(tail.searchsorted(1.0 - max(level, 0.5), side="right"))
+    var = b - 1 - k if k < b - a else -1
     if level <= 0.5:
-        cdf = np.cumsum(pmf.mass)
-        var = min(int(np.searchsorted(cdf, level, side="left")), var)
+        var = min(a + int(mass.cumsum().searchsorted(level, side="left")), var)
     # Only a LossPmf whose masses sum below 0.5 gives -1.
     return max(var, 0)
 
 
 def mode_of(pmf: LossPmf) -> tuple[int, float]:
     """Argmax of the pmf and its probability; ties break to the smallest index."""
-    mode = int(np.argmax(pmf.mass))
-    return mode, float(pmf.mass[mode])
+    a, b = pmf.span
+    mode = a + int(pmf.mass[a:b].argmax())
+    # If every mass is 0.0, the first one is the argmax.
+    return (mode, float(pmf.mass[mode])) if pmf.mass[mode] else (0, 0.0)
 
 
 def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
@@ -102,6 +108,9 @@ def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
     var_value = value_at_risk(pmf, level)
     mode, mode_prob = mode_of(pmf)
     mean, variance = loss_moments(pmf)
+    # A run of 0.0 at an end is a peak only if every mass is 0.0, at 0 then.
+    a, b = pmf.span
+    peaks = tuple(a + i for i in peak_indices(pmf.mass[a:b])) if mode_prob else (0,)
     return RiskReport(
         var_level=level,
         var_value=var_value,
@@ -109,7 +118,7 @@ def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
         mode_prob=mode_prob,
         mean=mean,
         variance=variance,
-        peaks=tuple(peak_indices(pmf.mass)),
+        peaks=peaks,
     )
 
 

@@ -209,6 +209,14 @@ class TestMetricsCommand:
         assert code == 0
         assert "inf" not in out
 
+    @pytest.mark.parametrize("p", [1e-12, 0.99999999999])
+    def test_independent_model_at_extreme_p(self, capsys, p):
+        # rho = 0 lies 1e-12 or 1e-11 above the lower bound here, inside the
+        # margin once taken as an absolute 1e-10.
+        code, out, _ = run(capsys, "metrics", "--p", repr(p), "--rho", "0", "--n", "10")
+        assert code == 0
+        assert json.loads(out)["data"]["mean"] == pytest.approx(10 * p, rel=1e-12)
+
     def test_invalid_level_exits_2(self, capsys):
         code, _, _ = run(capsys, "metrics", "--p", "0.4", "--rho", "0", "--n", "100",
                          "--level", "1.5")

@@ -93,6 +93,15 @@ class TestModelConfig:
         with pytest.raises(AdmissibilityError):
             ModelConfig(n_credits=10, p=0.4, rho=1.0 - 0.5 * EPS_BOUND)
 
+    def test_lower_margin_is_relative_to_the_bound(self):
+        # At p = 1e-12 the lower bound is -1e-12, so an absolute margin of
+        # EPS_BOUND would reject rho = 0 and the whole negative range.
+        lo = rho_bounds(1e-12).lower
+        for rho in (0.0, lo * (1.0 - 2e-10)):
+            assert 0.0 < ModelConfig(n_credits=10, p=1e-12, rho=rho).q < 1e-12
+        with pytest.raises(AdmissibilityError, match="violates the lower bound"):
+            ModelConfig(n_credits=10, p=1e-12, rho=lo * (1.0 - 5e-11))
+
     def test_accepts_just_inside(self):
         lo = rho_bounds(0.4).lower
         cfg = ModelConfig(n_credits=10, p=0.4, rho=lo + 1e-9)

@@ -18,6 +18,7 @@ from dandelion_risk import (
     loss_pmf,
     pair_moment,
     peak_indices,
+    risk_report,
     rho_noncentral,
 )
 from dandelion_risk import distribution
@@ -157,6 +158,39 @@ class TestSkippedWork:
         assert np.all(gap[~inside] >= LSE_GAP - tol)
         # ... and no entry is computed that could have been skipped.
         assert np.all(gap[inside] < LSE_GAP + tol)
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory of fn(*args) in bytes, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """A point query allocates its result and one scratch array of N+1 floats.
+
+    At p = 0.47, rho = 0.31 the log-sum-exp window is about 1200 entries, so
+    its temporary is small; 2.25 arrays leave room for it and the span
+    bookkeeping but not for a third array (the full-array kernel reached 6.1).
+    """
+
+    N = 10**6
+    CFG = ModelConfig(N, 0.47, 0.31)
+    BUDGET = 2.25 * 8 * (N + 1)
+
+    def test_loss_pmf(self):
+        loss_pmf(self.CFG)  # grows the shared log k! prefix, which is kept
+        assert traced_peak(loss_pmf, self.CFG) <= self.BUDGET
+
+    def test_risk_report_on_a_fresh_pmf(self):
+        # The fresh pmf has not computed `mass` yet; the report pays for it.
+        pmf = LossPmf(loss_pmf(self.CFG).log_mass)
+        assert traced_peak(risk_report, pmf) <= self.BUDGET
 
 
 class TestLogBinomTable:

@@ -20,8 +20,9 @@ from dandelion_risk import (
     scan_rho,
     value_at_risk,
 )
+from dandelion_risk.distribution import EXP_FLOOR
 
-from conftest import lower_bound, rho_at
+from conftest import lower_bound, oracle_peak_indices, rho_at
 
 # Frozen by two independent routes: a scipy-only binomial-mixture sweep and a
 # 50+ digit direct evaluation of the closed-form pmf.  The argmax of the loss
@@ -200,6 +201,100 @@ class TestRiskReport:
         assert 0 <= rep.var_value <= 100
         assert 0 <= rep.mode <= 100
         assert 0.0 < rep.mode_prob <= 1.0
+
+
+def full_support_reference(mass: np.ndarray, level: float) -> tuple[int, int, list[int]]:
+    """(VaR, mode, peaks) with every sum and search over the whole support."""
+    n = len(mass) - 1
+    tail = np.cumsum(mass[::-1])
+    var = n - int(np.searchsorted(tail, 1.0 - max(level, 0.5), side="right"))
+    if level <= 0.5:
+        cdf = np.cumsum(mass)
+        var = min(int(np.searchsorted(cdf, level, side="left")), var)
+    return max(var, 0), int(np.argmax(mass)), oracle_peak_indices(mass)
+
+
+# Log masses: below EXP_FLOOR (exactly 0.0 in `mass`), in (-746, -745.1]
+# (above the floor, so inside the span, but exp still gives 0.0), subnormal,
+# and large enough to sum past 1; the sampled values make plateaus and ties.
+BELOW_FLOOR = st.sampled_from([EXP_FLOOR, -800.0, -1e4]) | st.floats(-1e5, EXP_FLOOR)
+ZERO_ABOVE_FLOOR = st.sampled_from([np.nextafter(EXP_FLOOR, 0.0), -745.5, -745.1])
+HUMP = st.sampled_from([-1.0, -2.0, -740.0]) | st.floats(-60.0, 0.5)
+
+
+@st.composite
+def span_pmfs(draw):
+    """Log masses laid out as floor padding, humps with floor gaps between them, padding."""
+    left = draw(st.lists(BELOW_FLOOR, max_size=6))
+    body = draw(st.lists(
+        st.lists(HUMP | ZERO_ABOVE_FLOOR, min_size=1, max_size=8)
+        | st.lists(BELOW_FLOOR | ZERO_ABOVE_FLOOR, min_size=1, max_size=5),
+        max_size=5,
+    ))
+    right = draw(st.lists(BELOW_FLOOR, max_size=6))
+    log_mass = left + [x for part in body for x in part] + right
+    return log_mass or draw(st.lists(BELOW_FLOOR, min_size=1, max_size=3))
+
+
+LEVELS = (st.sampled_from([0.001, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 0.99,
+                           1 - 1e-15])
+          | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+class TestSpanReading:
+    """VaR, mode and peaks read only the span of `mass` and add its start back;
+    they must equal the same searches over the whole support."""
+
+    @given(log_mass=span_pmfs(), levels=st.lists(LEVELS, min_size=1, max_size=4))
+    # Every entry below the floor: the span is the whole support.
+    @example(log_mass=[-800.0, EXP_FLOOR, -1e4], levels=[0.3, 0.99])
+    # Above the floor, but every mass 0.0.
+    @example(log_mass=[-800.0, -745.5, -745.2, -800.0], levels=[0.3, 0.99])
+    # A single non-zero mass, at an end and inside.
+    @example(log_mass=[0.0, -800.0, -900.0], levels=[0.3, 0.99])
+    @example(log_mass=[-800.0, -745.5, 0.0, -745.5, -800.0], levels=[0.3, 0.99])
+    # Masses summing below 0.5: VaR clamps -1 to 0 on both sides of 0.5.
+    @example(log_mass=[-800.0, -3.0, -2.0, -3.0, -800.0], levels=[0.01, 0.4, 0.99])
+    # Two humps with a zero gap and zero-mass entries at the span ends.
+    @example(log_mass=[-1e4, -745.5, -1.0, -2.0, -900.0, -745.2, -2.0, -1.0, -745.5, -800.0],
+             levels=[0.2, 0.5, 0.8])
+    @settings(max_examples=400, deadline=None)
+    def test_equals_full_support_reference(self, log_mass, levels):
+        pmf = LossPmf(np.array(log_mass))
+        assert pmf.mass.tobytes() == np.exp(pmf.log_mass).tobytes()
+        a, b = pmf.span
+        assert 0 <= a < b <= pmf.n + 1
+        assert not pmf.mass[:a].any() and not pmf.mass[b:].any()
+        for level in levels:
+            var, mode, peaks = full_support_reference(pmf.mass, level)
+            assert value_at_risk(pmf, level) == var
+            assert mode_of(pmf) == (mode, pmf.mass[mode])
+            rep = risk_report(pmf, level)
+            assert (rep.var_value, rep.mode, rep.mode_prob) == (var, mode, pmf.mass[mode])
+            assert rep.peaks == tuple(peaks)
+            assert all(type(i) is int for i in (rep.var_value, rep.mode, *rep.peaks))
+
+    def test_span_is_the_whole_support_when_all_below_floor(self):
+        assert LossPmf(np.array([-800.0, EXP_FLOOR, -1e4])).span == (0, 3)
+
+    def test_span_ends_at_the_last_entry_above_floor(self):
+        pmf = LossPmf(np.array([-800.0, -745.5, -1.0, -900.0, -2.0, EXP_FLOOR]))
+        assert pmf.span == (1, 5)
+
+    def test_writeable_input_is_copied(self):
+        log_mass = np.log([0.25, 0.5, 0.25])
+        expected = log_mass.copy()
+        pmf = LossPmf(log_mass)
+        log_mass[:] = -1.0
+        assert pmf.log_mass.tobytes() == expected.tobytes()
+        assert pmf.mass.tobytes() == np.exp(expected).tobytes()
+        assert not pmf.log_mass.flags.writeable
+
+    def test_fresh_kernel_result_is_kept(self):
+        pmf = loss_pmf(ModelConfig(50, 0.3, 0.2))
+        assert LossPmf(pmf.log_mass).log_mass is pmf.log_mass
+        view = pmf.log_mass[:]
+        assert LossPmf(view).log_mass is not view
 
 
 class TestScanRho:

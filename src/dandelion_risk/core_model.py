@@ -11,8 +11,8 @@ default rates conditional on the central node, r0 = p*(1-rho) and
 r1 = p + rho*(1-p).  q = E[L0*Li] = rho*p*(1-p) + p**2 = p*r1 is the joint
 default probability of the central node and any leaf.
 
-Everything here works in log space: Z is never formed in linear space because
-either of its two branches can overflow or underflow a double at N ~ 100.
+Everything here works in log space: Z = (1-r0)^-N / (1-p) is never formed in
+linear space because it can overflow a double at N ~ 100.
 """
 
 from __future__ import annotations
@@ -70,7 +70,12 @@ def _joint_moment(p: float, rho: float) -> float:
 
 
 def rho_to_q(p: float, rho: float) -> float:
-    """Map the central correlation to the joint moment q = rho*p*(1-p) + p**2."""
+    """Map the central correlation to the joint moment q = rho*p*(1-p) + p**2.
+
+    Only rho is checked, against the margins of :func:`rho_bounds`.  At a
+    tiny p, q may underflow to 0.0; no model computation reads it, they all
+    start from the conditional rates.
+    """
     bounds = rho_bounds(p)
     if not math.isfinite(rho):
         raise AdmissibilityError(f"rho={rho!r} is not finite")
@@ -85,12 +90,7 @@ def rho_to_q(p: float, rho: float) -> float:
             f"rho={rho!r} violates the upper bound 1; admissible open "
             f"interval is ({bounds.lower!r}, {bounds.upper!r})"
         )
-    q = _joint_moment(p, rho)
-    if not (0.0 < q < p):
-        raise AdmissibilityError(
-            f"implied joint moment q={q!r} falls outside the open interval (0, p={p!r})"
-        )
-    return q
+    return _joint_moment(p, rho)
 
 
 def q_to_rho(p: float, q: float) -> float:
@@ -108,7 +108,7 @@ class ModelConfig:
     Both the central node and the leaves share the same marginal default
     probability p.  Validation enforces rho strictly inside the open interval
     from :func:`rho_bounds`, at distance > EPS_BOUND*|lower| from the lower
-    end and > EPS_BOUND from the upper end 1, and the implied q inside (0, p).
+    end and > EPS_BOUND from the upper end 1.
     """
 
     n_credits: int
@@ -124,7 +124,7 @@ class ModelConfig:
 
     @property
     def q(self) -> float:
-        """Joint default moment E[L0*Li]; __post_init__ already validated it."""
+        """Joint default moment E[L0*Li]; it underflows to 0.0 at a tiny p."""
         return _joint_moment(self.p, self.rho)
 
 
@@ -132,22 +132,16 @@ class ModelConfig:
 class CalibratedParams:
     """Natural parameters of the exponential family plus the log partition value.
 
-    log_z is the stable two-term log-sum of the two branch exponents
+    Summing the leaves out of the sound-centre branch gives
+    Z*(1-p) = (1 + e^alpha)^N = (1-r0)^-N, so log Z has the closed form
 
-        N*log(1 + e^alpha)   and   alpha0 + N*log(1 + e^(alpha+beta)),
-
-    which correspond to the central node being sound or defaulted.
+        log Z = -log(1-p) - N*log(1-r0).
     """
 
     alpha: float
     alpha0: float
     beta: float
     log_z: float
-
-
-def _softplus(x: float) -> float:
-    # log(1 + e^x) without overflow; equals max(x, 0) + log1p(e^-|x|).
-    return float(np.logaddexp(0.0, x))
 
 
 def conditional_probs(cfg: ModelConfig) -> tuple[float, float]:
@@ -163,34 +157,45 @@ def conditional_probs(cfg: ModelConfig) -> tuple[float, float]:
     return p * (1.0 - rho), p + rho * (1.0 - p)
 
 
-def calibrate(cfg: ModelConfig) -> CalibratedParams:
-    """Closed-form natural parameters matching E[L0]=E[Li]=p and E[L0*Li]=q.
+def _log_rates(cfg: ModelConfig) -> tuple[float, float, float, float]:
+    """(log r0, log(1-r0), log r1, log(1-r1)) for :func:`conditional_probs`.
 
-    With (r0, r1) = :func:`conditional_probs` and their complements formed
-    directly, not as 1 - r, as 1-r0 = (1-p) + p*rho and 1-r1 = (1-p)*(1-rho):
-
-        alpha        = logit r0
-        alpha + beta = logit r1
-        alpha0       = logit p + N*log((1-r1)/(1-r0))
-
-    The last line sets P(L0=1)/P(L0=0) = p/(1-p).  Every output is finite;
-    log_z is assembled purely in log space.
+    The complements are formed directly, not as 1 - r: 1-r0 = (1-p) + p*rho
+    and 1-r1 = (1-p)*(1-rho).  :func:`calibrate` and the loss kernel both
+    start here, so this holds the one check that none of the four vanished.
     """
-    p, rho, n = cfg.p, cfg.rho, cfg.n_credits
+    p, rho = cfg.p, cfg.rho
     r0, r1 = conditional_probs(cfg)
     s0, s1 = (1.0 - p) + p * rho, (1.0 - p) * (1.0 - rho)
     if min(r0, r1, s0, s1) <= 0.0:
-        # ModelConfig's rho margin and q check keep all four above 0.0, at a
-        # subnormal p too; only a config that skipped that validation stops here.
+        # Inside ModelConfig's rho margins this happens only where a product
+        # underflows at the smallest subnormal p: p = 5e-324, rho = 0.5 gives
+        # r0 = 0.0.
         raise AdmissibilityError(
             f"conditional default rates ({r0!r}, {r1!r}) or their complements "
             f"({s0!r}, {s1!r}) vanished at p={p!r}, rho={rho!r}"
         )
-    log_s0, log_s1 = math.log(s0), math.log(s1)
-    alpha = math.log(r0) - log_s0
-    beta = (math.log(r1) - log_s1) - alpha
+    return math.log(r0), math.log(s0), math.log(r1), math.log(s1)
+
+
+def calibrate(cfg: ModelConfig) -> CalibratedParams:
+    """Closed-form natural parameters matching E[L0]=E[Li]=p and E[L0*Li]=q.
+
+    With (r0, r1) = :func:`conditional_probs` and their complements from
+    :func:`_log_rates`:
+
+        alpha        = logit r0
+        alpha + beta = logit r1
+        alpha0       = logit p + N*log((1-r1)/(1-r0))
+        log Z        = -log(1-p) - N*log(1-r0)
+
+    The third line sets P(L0=1)/P(L0=0) = p/(1-p), and the last is
+    :class:`CalibratedParams`' closed form.  Every output is finite.
+    """
+    p, n = cfg.p, cfg.n_credits
+    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
+    alpha = log_r0 - log_s0
+    beta = (log_r1 - log_s1) - alpha
     alpha0 = math.log(p / (1.0 - p)) + n * (log_s1 - log_s0)
-    log_z = float(
-        np.logaddexp(n * _softplus(alpha), alpha0 + n * _softplus(alpha + beta))
-    )
+    log_z = -math.log1p(-p) - n * log_s0
     return CalibratedParams(alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z)

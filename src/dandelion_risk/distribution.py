@@ -1,27 +1,29 @@
 """Exact portfolio-loss distribution of the star model and its moments.
 
 The portfolio loss L = L1 + ... + LN deliberately excludes the central node,
-so its support is {0, ..., N}.  The loss pmf has the closed form
+so its support is {0, ..., N}.  Conditioning on the central node's state
+makes the leaves i.i.d. Bernoulli, so the loss pmf is a mixture of two
+normalised binomials, with weights 1-p and p and the rates (r0, r1) of
+:func:`conditional_probs`:
 
-    P(L = l) = (1/Z) * C(N, l) * ( e^(alpha*l) + e^(alpha0 + l*(alpha+beta)) )
+    P(L = l) = C(N, l) * ( e^(c0 + l*logit r0) + e^(c1 + l*logit r1) ),
+    c0 = log(1-p) + N*log(1-r0),   c1 = log p + N*log(1-r1).
 
-whose two branches are, after normalization, a pair of binomials: conditioning
-on the central node's state makes the leaves i.i.d. Bernoulli.  The weights
-are 1-p and p and the rates are :func:`conditional_probs`; the scipy expansion
-of that mixture in ``tests/conftest.py`` is the cross-check oracle for the
-log-space kernel.
+No partition function enters it.  The scipy expansion of that mixture in
+``tests/conftest.py`` is the cross-check oracle for the log-space kernel.
 
 The kernel skips transcendental work whose result is already known in double
 precision, so its output is bit-for-bit that of the full-array formulas:
 
-* The branch gap alpha0 + beta*l is linear in l.  Where it exceeds
-  ``LSE_GAP`` = 800 in magnitude, exp(-gap) underflows to exactly 0.0 and
-  ``np.logaddexp`` returns the larger branch, so it runs only on the one
-  window of l (about 1600/|beta| wide) where the gap is smaller.
+* The branch gap (c1 - c0) + (logit r1 - logit r0)*l is linear in l.
+  Where it exceeds ``LSE_GAP`` = 800 in magnitude, exp(-gap) underflows to
+  exactly 0.0 and ``np.logaddexp`` returns the larger branch, so it runs
+  only on the one window of l (about 1600/|logit r1 - logit r0| wide) where
+  the gap is smaller.
 * ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
   the linear view exponentiates only its span: the first to the last log
   mass above it.  Outside the span every mass is 0.0, so VaR, mode and peaks
-  read the span alone; the moments keep their full-support dot products.
+  read the span alone.
 * log C(N, l) comes from one prefix of log-factorials shared by every N.
 
 ``loss_pmf`` allocates its result, the log-binomial table, and one scratch
@@ -37,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import ModelConfig, calibrate, conditional_probs
+from .core_model import ModelConfig, _log_rates, conditional_probs
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -71,17 +73,17 @@ def _log_binom_table(n: int) -> np.ndarray:
     return table
 
 
-def _logaddexp_window(alpha0: float, beta: float, n: int) -> tuple[int, int]:
-    """Slice [lo, hi) of {0..n} where the branch gap |alpha0 + beta*l| < LSE_GAP.
+def _logaddexp_window(gap: float, slope: float, n: int) -> tuple[int, int]:
+    """Slice [lo, hi) of {0..n} where the branch gap |gap + slope*l| < LSE_GAP.
 
     The gap is linear in l, so the slice is the integers strictly between
     two closed-form ends.  The ends are clamped as floats before they become
-    ints, because a subnormal beta puts them at +-inf; at beta = 0 the gap is
-    alpha0 everywhere.
+    ints, because a subnormal slope puts them at +-inf; at slope = 0 the gap
+    is the same everywhere.
     """
-    if beta == 0.0:
-        return (0, n + 1) if abs(alpha0) < LSE_GAP else (0, 0)
-    a, b = sorted(((-LSE_GAP - alpha0) / beta, (LSE_GAP - alpha0) / beta))
+    if slope == 0.0:
+        return (0, n + 1) if abs(gap) < LSE_GAP else (0, 0)
+    a, b = sorted(((-LSE_GAP - gap) / slope, (LSE_GAP - gap) / slope))
     lo = math.floor(min(max(a, -1.0), n)) + 1
     hi = math.ceil(min(max(b, 0.0), n + 1.0))
     return lo, max(hi, lo)
@@ -148,35 +150,37 @@ class LossPmf:
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
     """Exact pmf of the loss count L = L1 + ... + LN (central node excluded).
 
-    log_mass[l] = log C(N,l) + logaddexp(alpha*l, alpha0 + l*(alpha+beta)) - log_z.
+    log_mass[l] = log C(N,l) + logaddexp(c0 + l*logit r0, c1 + l*logit r1),
+    with c0 and c1 the branch constants of the module docstring.
 
-    logaddexp runs only on the window of l where the branch gap
-    |alpha0 + beta*l| is below LSE_GAP = 800; elsewhere it would return the
-    larger branch exactly, so that is taken directly.  Near rho = 0, where
-    beta ~ 0, the window is the whole support.
+    logaddexp runs only on the window of l where the branch gap is below
+    LSE_GAP = 800; elsewhere it would return the larger branch exactly, so
+    that is taken directly.  Near rho = 0, where the two rates nearly agree,
+    the window is the whole support.
     """
-    params = calibrate(cfg)
-    n = cfg.n_credits
-    alpha0, alpha, slope = params.alpha0, params.alpha, params.alpha + params.beta
-    lo, hi = _logaddexp_window(alpha0, params.beta, n)
+    p, n = cfg.p, cfg.n_credits
+    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
+    slope0, slope1 = log_r0 - log_s0, log_r1 - log_s1
+    c0 = math.log1p(-p) + n * log_s0
+    c1 = math.log(p) + n * log_s1
+    gap, slope = c1 - c0, slope1 - slope0
+    lo, hi = _logaddexp_window(gap, slope, n)
     # Column l becomes the branch terms in place.  Past the window, on the
-    # far side (where beta, or alpha0 if beta = 0, makes the gap >= LSE_GAP),
-    # the larger is y = alpha0 + slope*l; on the near side x = alpha*l.
+    # far side (where slope, or gap if slope = 0, makes the gap >= LSE_GAP),
+    # the larger is y = c1 + slope1*l; on the near side x = c0 + slope0*l.
     col = np.arange(n + 1, dtype=np.float64)
-    y = col[lo:hi] * slope
-    y += alpha0
-    grows = (params.beta or alpha0) > 0.0
+    y = col[lo:hi] * slope1
+    y += c1
+    grows = (slope or gap) > 0.0
     near, far = (col[:hi], col[hi:]) if grows else (col[lo:], col[:lo])
-    near *= alpha
-    far *= slope
-    far += alpha0
+    near *= slope0
+    near += c0
+    far *= slope1
+    far += c1
     window = col[lo:hi]
     np.logaddexp(window, y, out=window)
-    # At l = 0 with alpha < 0 the near branch is -0.0 where logaddexp gives
-    # +0.0; the table entry there is +0.0, so the sums agree.
     log_mass = _log_binom_table(n)
     log_mass += col
-    log_mass -= params.log_z
     log_mass.flags.writeable = False
     return LossPmf(log_mass)
 
@@ -207,13 +211,18 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     """Mean and variance of the loss count, computed from the pmf.
 
     For a calibrated model these equal N*p and N*p*(1-p)*(1 + (N-1)*rho**2).
+    Both passes read the span alone and divide by its mass sum, and the
+    variance is centred on the computed mean, so neither the sum's rounding
+    nor E[L]**2 is carried into it.
     """
-    l = np.arange(pmf.n + 1, dtype=np.float64)
-    mass = pmf.mass
-    mean = float(l @ mass)
+    a, b = pmf.span
+    mass = pmf.mass[a:b]
+    total = mass.sum() or 1.0  # a hand-built pmf of 0.0 masses has moments 0.0
+    l = np.arange(a, b, dtype=np.float64)
+    mean = float(l @ mass / total)
+    l -= mean
     l *= l
-    variance = float(l @ mass - mean * mean)
-    return mean, variance
+    return mean, float(l @ mass / total)
 
 
 def peak_indices(mass: np.ndarray) -> list[int]:

@@ -6,7 +6,8 @@ Three routes, each sharing some inputs with the closed forms it checks:
   and log Z from calibrate(), the function it checks; the state sum itself is
   its own, so a total mass of 1 checks log Z, the moments check that theta
   gives E[L0] = E[Li] = p and E[L0*Li] = q, and the brute-force pmf checks
-  loss_pmf's two-binomial expansion;
+  loss_pmf's two-binomial expansion from outside the kernel's inputs, since
+  loss_pmf reads neither theta nor log Z;
 * conditional Monte Carlo sampling of (L0, loss) pairs draws at the
   conditional_probs() rates that loss_pmf also uses, so comparing draws with
   loss_pmf checks the branch weights and the log-space kernel, not the rates;

@@ -6,7 +6,8 @@ against a route that shares no code with the log-space implementation.  The
 exceptions pin the bytes of the package's loss kernel, not its mathematics:
 `oracle_log_binom_table` takes the same `math.lgamma` values in three full
 passes, with no shared prefix, and `oracle_loss_pmf_full` starts from the
-package's own calibration and applies the kernel's formulas to every entry.
+package's own conditional rates, their logs and complements, and applies the
+kernel's two normalised binomial lines to every entry.
 The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 `tests/test_distribution.py`.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from dandelion_risk import calibrate
+from dandelion_risk.core_model import _log_rates
 
 
 def lower_bound(p: float) -> float:
@@ -81,12 +82,12 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     logaddexp and exp run on every entry; the package skips entries whose
     result is known, and must agree with this byte for byte.
     """
-    params = calibrate(cfg)
+    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
     n = cfg.n_credits
     l = np.arange(n + 1, dtype=np.float64)
     branches = np.logaddexp(
-        params.alpha * l,
-        params.alpha0 + (params.alpha + params.beta) * l,
+        (math.log1p(-cfg.p) + n * log_s0) + (log_r0 - log_s0) * l,
+        (math.log(cfg.p) + n * log_s1) + (log_r1 - log_s1) * l,
     )
-    log_mass = oracle_log_binom_table(n) + branches - params.log_z
+    log_mass = oracle_log_binom_table(n) + branches
     return log_mass, np.exp(log_mass)

@@ -209,13 +209,20 @@ class TestMetricsCommand:
         assert code == 0
         assert "inf" not in out
 
-    @pytest.mark.parametrize("p", [1e-12, 0.99999999999])
+    @pytest.mark.parametrize("p", [1e-12, 0.99999999999, 1e-200, 1e-310])
     def test_independent_model_at_extreme_p(self, capsys, p):
         # rho = 0 lies 1e-12 or 1e-11 above the lower bound here, inside the
-        # margin once taken as an absolute 1e-10.
+        # margin once taken as an absolute 1e-10.  At p = 1e-200 and below,
+        # q = p**2 underflows to 0.0, which no computation reads.
         code, out, _ = run(capsys, "metrics", "--p", repr(p), "--rho", "0", "--n", "10")
         assert code == 0
         assert json.loads(out)["data"]["mean"] == pytest.approx(10 * p, rel=1e-12)
+
+    def test_vanished_rate_exits_2(self, capsys):
+        # rho = 0.5 is inside the margins, but r0 = p*(1-rho) rounds to 0.0.
+        code, _, err = run(capsys, "metrics", "--p", "5e-324", "--rho", "0.5", "--n", "10")
+        assert code == 2
+        assert "vanished" in err
 
     def test_invalid_level_exits_2(self, capsys):
         code, _, _ = run(capsys, "metrics", "--p", "0.4", "--rho", "0", "--n", "100",

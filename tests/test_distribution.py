@@ -330,6 +330,52 @@ class TestLossMoments:
             n * p * (1 - p) * (1 + (n - 1) * rho * rho), abs=1e-8
         )
 
+    @pytest.mark.parametrize("p, rho, n", [
+        (0.972415838887344, -0.016714490560625447, 24422),
+        (0.8860479809725482, 0.02049525871430427, 30298),
+    ])
+    def test_two_pass_moments_at_large_n(self, p, rho, n):
+        # A one-pass E[L^2] - mean**2 is ~1e-7 off the closed form here.
+        mean, var = loss_moments(loss_pmf(ModelConfig(n, p, rho)))
+        assert mean == pytest.approx(n * p, rel=1e-10)
+        assert var == pytest.approx(n * p * (1 - p) * (1 + (n - 1) * rho * rho), rel=1e-10)
+
+
+# 9 rho = rho_at(p, t) spread over each admissible interval.
+MIRROR_TS = (0.001, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)
+# Dyadic p, so that 1 - p is exact.
+MIRROR_CASES = [
+    pytest.param(p, rho_at(p, t), n, id=f"{p}-{t}-{n}")
+    for p in (1 / 16, 1 / 8, 1 / 4, 3 / 8)
+    for t in MIRROR_TS
+    for n in (10, 100, 10**4)
+]
+
+
+def mirror_tolerance(n: int) -> float:
+    return 1e-13 * (n + 1) + 1e-12
+
+
+class TestMirrorIdentities:
+    """Swapping default and survival on every node maps (p, rho) to
+    (1-p, rho) and L to N-L; at p = 1/2 it is a symmetry of one model."""
+
+    @pytest.mark.parametrize("p, rho, n", MIRROR_CASES)
+    def test_one_minus_p_reverses_the_pmf(self, p, rho, n):
+        here = loss_pmf(ModelConfig(n, p, rho)).log_mass
+        mirrored = loss_pmf(ModelConfig(n, 1.0 - p, rho)).log_mass
+        assert np.abs(mirrored[::-1] - here).max() <= mirror_tolerance(n)
+
+    @pytest.mark.parametrize("n", [10, 100, 10**4])
+    @pytest.mark.parametrize("t", MIRROR_TS)
+    def test_half_is_a_palindrome_even_in_rho(self, t, n):
+        # rho_at(0.5, t) = 2t - 1 covers (-1, 1); its negative is admissible too.
+        rho = rho_at(0.5, t)
+        log_mass = loss_pmf(ModelConfig(n, 0.5, rho)).log_mass
+        flipped = loss_pmf(ModelConfig(n, 0.5, -rho)).log_mass
+        assert np.abs(log_mass[::-1] - log_mass).max() <= mirror_tolerance(n)
+        assert np.abs(flipped - log_mass).max() <= mirror_tolerance(n)
+
 
 class TestPeakIndices:
     def test_single_hump(self):

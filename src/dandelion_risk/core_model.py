@@ -108,7 +108,8 @@ class ModelConfig:
     Both the central node and the leaves share the same marginal default
     probability p.  Validation enforces rho strictly inside the open interval
     from :func:`rho_bounds`, at distance > EPS_BOUND*|lower| from the lower
-    end and > EPS_BOUND from the upper end 1.
+    end and > EPS_BOUND from the upper end 1, and that neither conditional
+    rate of :func:`conditional_probs` nor its complement rounds to 0.0.
     """
 
     n_credits: int
@@ -121,6 +122,16 @@ class ModelConfig:
                 f"n_credits={self.n_credits!r} must be an integer >= 2"
             )
         rho_to_q(self.p, self.rho)
+        rates = _rates(self.p, self.rho)
+        if min(rates) <= 0.0:
+            # Inside the rho margins this happens only where a product
+            # underflows at the smallest subnormal p: p = 5e-324, rho = 0.5
+            # gives r0 = 0.0.
+            raise AdmissibilityError(
+                f"conditional default rates ({rates[0]!r}, {rates[2]!r}) or their "
+                f"complements ({rates[1]!r}, {rates[3]!r}) vanished at "
+                f"p={self.p!r}, rho={self.rho!r}"
+            )
 
     @property
     def q(self) -> float:
@@ -144,6 +155,11 @@ class CalibratedParams:
     log_z: float
 
 
+def _rates(p: float, rho: float) -> tuple[float, float, float, float]:
+    """(r0, 1-r0, r1, 1-r1), the complements formed directly, not as 1 - r."""
+    return p * (1.0 - rho), (1.0 - p) + p * rho, p + rho * (1.0 - p), (1.0 - p) * (1.0 - rho)
+
+
 def conditional_probs(cfg: ModelConfig) -> tuple[float, float]:
     """Leaf default probabilities conditional on the central node's state.
 
@@ -153,49 +169,42 @@ def conditional_probs(cfg: ModelConfig) -> tuple[float, float]:
     rho is admissible exactly where both lie in (0, 1), and they mix back to
     the marginal: (1-p)*r0 + p*r1 = p.
     """
-    p, rho = cfg.p, cfg.rho
-    return p * (1.0 - rho), p + rho * (1.0 - p)
+    r0, _, r1, _ = _rates(cfg.p, cfg.rho)
+    return r0, r1
 
 
-def _log_rates(cfg: ModelConfig) -> tuple[float, float, float, float]:
-    """(log r0, log(1-r0), log r1, log(1-r1)) for :func:`conditional_probs`.
+def _branch_lines(cfg: ModelConfig) -> tuple[float, float, float, float]:
+    """(c0, logit r0, c1, logit r1): the two normalised binomial lines.
 
-    The complements are formed directly, not as 1 - r: 1-r0 = (1-p) + p*rho
-    and 1-r1 = (1-p)*(1-rho).  :func:`calibrate` and the loss kernel both
-    start here, so this holds the one check that none of the four vanished.
+    Given the centre's state the loss is binomial at r0 or r1, so the log of
+    each branch's weighted mass at l is log C(N, l) + c + l*logit r, with
+
+        c0 = log(1-p) + N*log(1-r0),   c1 = log p + N*log(1-r1).
+
+    log(1-r) is log1p(-r) up to r = 1/2, so a tiny r is not lost in 1-r, and
+    the log of the directly formed complement above, so 1-r keeps its digits.
     """
-    p, rho = cfg.p, cfg.rho
-    r0, r1 = conditional_probs(cfg)
-    s0, s1 = (1.0 - p) + p * rho, (1.0 - p) * (1.0 - rho)
-    if min(r0, r1, s0, s1) <= 0.0:
-        # Inside ModelConfig's rho margins this happens only where a product
-        # underflows at the smallest subnormal p: p = 5e-324, rho = 0.5 gives
-        # r0 = 0.0.
-        raise AdmissibilityError(
-            f"conditional default rates ({r0!r}, {r1!r}) or their complements "
-            f"({s0!r}, {s1!r}) vanished at p={p!r}, rho={rho!r}"
-        )
-    return math.log(r0), math.log(s0), math.log(r1), math.log(s1)
+    p, n = cfg.p, cfg.n_credits
+    r0, s0, r1, s1 = _rates(p, cfg.rho)
+    log_s0, log_s1 = (math.log1p(-r) if r <= 0.5 else math.log(s)
+                      for r, s in ((r0, s0), (r1, s1)))
+    return (math.log1p(-p) + n * log_s0, math.log(r0) - log_s0,
+            math.log(p) + n * log_s1, math.log(r1) - log_s1)
 
 
 def calibrate(cfg: ModelConfig) -> CalibratedParams:
     """Closed-form natural parameters matching E[L0]=E[Li]=p and E[L0*Li]=q.
 
-    With (r0, r1) = :func:`conditional_probs` and their complements from
-    :func:`_log_rates`:
+    They are read off the lines (c0, logit r0, c1, logit r1) of
+    :func:`_branch_lines`:
 
         alpha        = logit r0
         alpha + beta = logit r1
-        alpha0       = logit p + N*log((1-r1)/(1-r0))
-        log Z        = -log(1-p) - N*log(1-r0)
+        alpha0       = c1 - c0 = logit p + N*log((1-r1)/(1-r0))
+        log Z        = -c0     = -log(1-p) - N*log(1-r0)
 
     The third line sets P(L0=1)/P(L0=0) = p/(1-p), and the last is
     :class:`CalibratedParams`' closed form.  Every output is finite.
     """
-    p, n = cfg.p, cfg.n_credits
-    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
-    alpha = log_r0 - log_s0
-    beta = (log_r1 - log_s1) - alpha
-    alpha0 = math.log(p / (1.0 - p)) + n * (log_s1 - log_s0)
-    log_z = -math.log1p(-p) - n * log_s0
-    return CalibratedParams(alpha=alpha, alpha0=alpha0, beta=beta, log_z=log_z)
+    c0, alpha, c1, logit_r1 = _branch_lines(cfg)
+    return CalibratedParams(alpha=alpha, alpha0=c1 - c0, beta=logit_r1 - alpha, log_z=-c0)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import ModelConfig, _log_rates, conditional_probs
+from .core_model import ModelConfig, _branch_lines, conditional_probs
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -151,18 +151,15 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     """Exact pmf of the loss count L = L1 + ... + LN (central node excluded).
 
     log_mass[l] = log C(N,l) + logaddexp(c0 + l*logit r0, c1 + l*logit r1),
-    with c0 and c1 the branch constants of the module docstring.
+    with the lines of :func:`core_model._branch_lines`.
 
     logaddexp runs only on the window of l where the branch gap is below
     LSE_GAP = 800; elsewhere it would return the larger branch exactly, so
     that is taken directly.  Near rho = 0, where the two rates nearly agree,
     the window is the whole support.
     """
-    p, n = cfg.p, cfg.n_credits
-    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
-    slope0, slope1 = log_r0 - log_s0, log_r1 - log_s1
-    c0 = math.log1p(-p) + n * log_s0
-    c1 = math.log(p) + n * log_s1
+    n = cfg.n_credits
+    c0, slope0, c1, slope1 = _branch_lines(cfg)
     gap, slope = c1 - c0, slope1 - slope0
     lo, hi = _logaddexp_window(gap, slope, n)
     # Column l becomes the branch terms in place.  Past the window, on the

@@ -6,8 +6,8 @@ against a route that shares no code with the log-space implementation.  The
 exceptions pin the bytes of the package's loss kernel, not its mathematics:
 `oracle_log_binom_table` takes the same `math.lgamma` values in three full
 passes, with no shared prefix, and `oracle_loss_pmf_full` starts from the
-package's own conditional rates, their logs and complements, and applies the
-kernel's two normalised binomial lines to every entry.
+package's own two normalised binomial lines, c + l*logit r for each state of
+the central node, and applies them to every entry.
 The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 `tests/test_distribution.py`.
 """
@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import stats
 
-from dandelion_risk.core_model import _log_rates
+from dandelion_risk.core_model import _branch_lines
 
 
 def lower_bound(p: float) -> float:
@@ -82,12 +82,8 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     logaddexp and exp run on every entry; the package skips entries whose
     result is known, and must agree with this byte for byte.
     """
-    log_r0, log_s0, log_r1, log_s1 = _log_rates(cfg)
+    c0, slope0, c1, slope1 = _branch_lines(cfg)
     n = cfg.n_credits
     l = np.arange(n + 1, dtype=np.float64)
-    branches = np.logaddexp(
-        (math.log1p(-cfg.p) + n * log_s0) + (log_r0 - log_s0) * l,
-        (math.log(cfg.p) + n * log_s1) + (log_r1 - log_s1) * l,
-    )
-    log_mass = oracle_log_binom_table(n) + branches
+    log_mass = oracle_log_binom_table(n) + np.logaddexp(c0 + slope0 * l, c1 + slope1 * l)
     return log_mass, np.exp(log_mass)

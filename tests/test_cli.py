@@ -218,9 +218,12 @@ class TestMetricsCommand:
         assert code == 0
         assert json.loads(out)["data"]["mean"] == pytest.approx(10 * p, rel=1e-12)
 
-    def test_vanished_rate_exits_2(self, capsys):
-        # rho = 0.5 is inside the margins, but r0 = p*(1-rho) rounds to 0.0.
-        code, _, err = run(capsys, "metrics", "--p", "5e-324", "--rho", "0.5", "--n", "10")
+    @pytest.mark.parametrize("command", [["metrics"], ["sample", "--count", "10"]],
+                             ids=["metrics", "sample"])
+    def test_vanished_rate_exits_2(self, capsys, command):
+        # rho = 0.5 is inside the margins, but r0 = p*(1-rho) rounds to 0.0;
+        # ModelConfig refuses it, so a command that never takes a log does too.
+        code, _, err = run(capsys, *command, "--p", "5e-324", "--rho", "0.5", "--n", "10")
         assert code == 2
         assert "vanished" in err
 

@@ -168,12 +168,13 @@ class TestCalibrate:
         combined = math.log(q * (1.0 - 2.0 * p + q) / (p - q) ** 2)
         assert prm.beta == pytest.approx(combined, abs=1e-10)
 
-    @pytest.mark.parametrize("p", [1e-300, 1e-12, 0.3, 0.7, 1 - 1e-9, 1 - 1e-12,
+    @pytest.mark.parametrize("p", [1e-300, 1e-20, 1e-12, 0.3, 0.7, 1 - 1e-9, 1 - 1e-12,
                                    1 - 1e-15])
     def test_matches_60_digit_reference(self, p):
         # alpha, alpha+beta, alpha0 and log Z of the double inputs, from the
         # exact conditional rates.  At p = 0.7 the centre has r0 = 1/2, so alpha = 0
-        # there, hence errors relative to max(|value|, 1).
+        # there, hence errors relative to max(|value|, 1); log Z > 0 is always
+        # checked relative to itself, which a tiny p makes tiny too.
         def logit(r):
             return mpmath.log(r) - mpmath.log(1 - r)
 
@@ -192,11 +193,11 @@ class TestCalibrate:
                 r0, r1 = mp * (1 - mr), mp + mr * (1 - mp)
                 exact = (logit(r0), logit(r1),
                          logit(mp) + n * mpmath.log((1 - r1) / (1 - r0)),
-                         -mpmath.log(1 - mp) - n * mpmath.log(1 - r0))
+                         -mpmath.log1p(-mp) - n * mpmath.log1p(-r0))
                 got = (prm.alpha, prm.alpha + prm.beta, prm.alpha0, prm.log_z)
                 names = ("alpha", "alpha+beta", "alpha0", "log_z")
                 for name, g, e in zip(names, got, exact):
-                    err = float(abs(g - e) / max(abs(e), 1))
+                    err = float(abs(g - e) / (abs(e) if name == "log_z" else max(abs(e), 1)))
                     assert err < 1e-10, (name, rho, n, err)
             checked += 1
         assert checked

@@ -340,6 +340,10 @@ class TestLossMoments:
         assert mean == pytest.approx(n * p, rel=1e-10)
         assert var == pytest.approx(n * p * (1 - p) * (1 + (n - 1) * rho * rho), rel=1e-10)
 
+    def test_pmf_without_a_mass_above_the_floor_has_zero_moments(self):
+        # Every mass is 0.0 in double precision; the sum is taken as 1, not 0.
+        assert loss_moments(LossPmf(np.full(3, -800.0))) == (0.0, 0.0)
+
 
 # 9 rho = rho_at(p, t) spread over each admissible interval.
 MIRROR_TS = (0.001, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.999)

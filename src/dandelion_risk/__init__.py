@@ -25,7 +25,6 @@ from .distribution import (
     LossPmf,
     loss_moments,
     loss_pmf,
-    pair_moment,
     peak_indices,
     rho_noncentral,
 )

@@ -285,8 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--points", type=int, default=201,
                       help="Grid size, >= 3 (default: %(default)s).")
     scan.add_argument("--margin", type=float, default=1e-3,
-                      help="Distance kept from each open rho bound "
-                           "(default: %(default)s).")
+                      help="Distance kept from each open rho bound (default: "
+                           "%(default)s). Points are even, so few are negative at "
+                           "small p: none at p = 1e-4 by default, 1 with 1e-6.")
     scan.add_argument("--level", type=float, default=0.99,
                       help="VaR confidence level (default: %(default)s).")
     scan.add_argument("--jump-threshold", type=int, default=10,

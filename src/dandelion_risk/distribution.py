@@ -28,7 +28,7 @@ precision, so its output is bit-for-bit that of the full-array formulas:
 
 ``loss_pmf`` allocates its result, the log-binomial table, and one scratch
 column of N+1 floats, turned into the branch terms in place; the window gets
-one temporary of its own size.
+one temporary of its own size, freed before the table is built.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_model import ModelConfig, _branch_lines, conditional_probs
+from .core_model import ModelConfig, _branch_lines
 
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
@@ -176,32 +176,23 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     far += c1
     window = col[lo:hi]
     np.logaddexp(window, y, out=window)
+    del y
     log_mass = _log_binom_table(n)
     log_mass += col
     log_mass.flags.writeable = False
     return LossPmf(log_mass)
 
 
-def pair_moment(cfg: ModelConfig) -> float:
-    """Joint default moment E[Li*Lj] of two distinct leaves.
-
-    Given the central node the leaves are independent at the rates
-    (r0, r1) of :func:`conditional_probs`, so the moment mixes their
-    squares: (1-p)*r0**2 + p*r1**2.
-    """
-    r0, r1 = conditional_probs(cfg)
-    return (1.0 - cfg.p) * r0**2 + cfg.p * r1**2
-
-
 def rho_noncentral(cfg: ModelConfig) -> float:
-    """Correlation between two distinct leaves; equals rho**2 identically.
+    """Correlation between two distinct leaves: the paper's closed form rho**2.
 
-    Always positive for rho != 0 and strictly smaller than |rho|, so even
-    strongly negatively correlated leaves-vs-center imply mildly positively
-    correlated leaves.
+    It is rho**2 of the float rho, correctly rounded: positive for rho != 0
+    unless it underflows (|rho| below ~1.6e-162), and below |rho|, so even
+    leaves negatively correlated with the center correlate mildly positively.
+    (E[Li*Lj] - p**2)/(p(1-p)) equals it exactly but is not formed: the
+    difference cancels at small |rho| and there came out 0.0 or negative.
     """
-    p = cfg.p
-    return (pair_moment(cfg) - p * p) / (p * (1.0 - p))
+    return cfg.rho * cfg.rho
 
 
 def loss_moments(pmf: LossPmf) -> tuple[float, float]:

@@ -133,7 +133,10 @@ def scan_rho(
 
     The grid spans [lower+margin, 1-margin]; each point is evaluated
     independently and results are merged in grid order, so the output is
-    deterministic for identical inputs.
+    deterministic for identical inputs.  The points are even over that span,
+    so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
+    2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
+    |lower|, none (margin 1e-6 gives 1).
     """
     if jump_threshold < 0:
         raise AdmissibilityError(f"jump_threshold={jump_threshold!r} must be >= 0")

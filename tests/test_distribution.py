@@ -16,7 +16,6 @@ from dandelion_risk import (
     enumerate_model,
     loss_moments,
     loss_pmf,
-    pair_moment,
     peak_indices,
     risk_report,
     rho_noncentral,
@@ -193,6 +192,17 @@ class TestMemoryBudget:
         assert traced_peak(risk_report, pmf) <= self.BUDGET
 
 
+class TestMemoryBudgetWholeWindow(TestMemoryBudget):
+    """The same budget where the log-sum-exp window is the whole support.
+
+    At rho = 0 the window's temporary is N+1 floats too.  Freeing it before
+    the log-binomial table is built keeps the peak at 2.0 arrays; held, it
+    read 3.0.
+    """
+
+    CFG = ModelConfig(TestMemoryBudget.N, 0.4, 0.0)
+
+
 class TestLogBinomTable:
     NS = [2, 17, 1000, 99_999, 10**6]
 
@@ -276,15 +286,15 @@ class TestMixtureForm:
 
 
 class TestPairMomentAndLeafCorrelation:
-    def test_examples(self):
-        assert pair_moment(ModelConfig(100, 0.4, 0.0)) == pytest.approx(0.16, abs=1e-12)
-        assert pair_moment(ModelConfig(100, 0.4, -0.5)) == pytest.approx(0.22, abs=1e-12)
-
     def test_rho_noncentral_examples(self):
         assert rho_noncentral(ModelConfig(100, 0.4, 0.0)) == pytest.approx(0.0, abs=1e-12)
         assert rho_noncentral(ModelConfig(100, 0.4, -0.5)) == pytest.approx(
             0.25, abs=1e-12
         )
+        # (E[Li*Lj] - p**2)/(p(1-p)) cancels here and came out -5.96e-16.
+        rho = -2.081842401210066e-10
+        cfg = ModelConfig(10, 0.7522709882372473, rho)
+        assert rho_noncentral(cfg) == rho * rho > 0.0
 
     def test_squared_relation_on_dense_grid(self):
         lo = -2.0 / 3.0
@@ -293,7 +303,7 @@ class TestPairMomentAndLeafCorrelation:
             assert abs(rho_noncentral(cfg) - rho * rho) < 1e-12
 
     def test_leaf_correlation_positive_and_below_central(self):
-        for rho in (-0.6, -0.3, -0.01, 0.01, 0.3, 0.9):
+        for rho in (-0.6, -0.3, -0.01, -1e-8, 1e-8, 0.01, 0.3, 0.9):
             r = rho_noncentral(ModelConfig(50, 0.4, rho))
             assert r > 0.0
             assert r < abs(rho)

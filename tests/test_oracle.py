@@ -13,7 +13,7 @@ from dandelion_risk import (
     loss_pmf,
     maxent_fit_small,
     maxent_sweep,
-    pair_moment,
+    rho_noncentral,
     rho_to_q,
     sample,
 )
@@ -43,8 +43,9 @@ class TestEnumerate:
         assert e_l0 == pytest.approx(0.4, abs=1e-10)
         assert e_l1 == pytest.approx(0.4, abs=1e-10)
         assert e_l0l1 == pytest.approx(0.2224, abs=1e-10)
+        # E[L1*L2] = p**2 + p(1-p)*Corr(L1, L2), with the library's correlation.
         assert e_l1l2 == pytest.approx(
-            pair_moment(ModelConfig(8, 0.4, 0.26)), abs=1e-10
+            0.16 + 0.24 * rho_noncentral(ModelConfig(8, 0.4, 0.26)), abs=1e-10
         )
 
     def test_fair_coin_binomial(self):
@@ -84,7 +85,8 @@ class TestEnumerate:
         rep = enumerate_model(cfg)
         assert abs(rep.total_mass - 1.0) < 1e-10
         assert np.abs(rep.loss_pmf_bf - loss_pmf(cfg).mass).max() < 1e-10
-        np.testing.assert_allclose(rep.moments, [0.4, 0.4, cfg.q, pair_moment(cfg)],
+        e_l1l2 = 0.16 + 0.24 * rho_noncentral(cfg)
+        np.testing.assert_allclose(rep.moments, [0.4, 0.4, cfg.q, e_l1l2],
                                    rtol=0, atol=1e-10)
 
     def test_size_cap(self):

@@ -26,16 +26,17 @@ precision, so its output is bit-for-bit that of the full-array formulas:
   read the span alone.
 * log C(N, l) comes from one prefix of log-factorials shared by every N.
 
-``loss_pmf`` allocates its result, the log-binomial table, and one scratch
-column of N+1 floats, turned into the branch terms in place; the window gets
-one temporary of its own size, freed before the table is built.
+``loss_pmf`` allocates its result, the log masses (first the log-binomial
+table) and the linear masses, and one scratch column of N+1 floats, turned
+into the branch terms in place and freed before the linear masses are made;
+the window gets one temporary of its own size, freed before the table is
+built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,13 +99,23 @@ class LossPmf:
     is kept as it is, which is how `loss_pmf` hands over its fresh result; any
     other input, a writeable array included, is copied.
 
-    The linear-space view `mass` is exp(log_mass) elementwise, computed with
-    `span`.  Masses below ~1e-308 underflow to 0.0 in it, which happens in the
-    far tails and, very close to the admissible correlation boundary, between
-    the two branches.
+    Both derived attributes are computed once, at construction.  `span` is
+    [a, b), from the first to the last log mass above EXP_FLOOR: every mass
+    outside it is 0.0, and inside, exp also gives 0.0 up to -745.13.  The
+    read-only `mass` is exp(log_mass) elementwise.  Masses below ~1e-308
+    underflow to 0.0 in it, which happens in the far tails and, very close to
+    the admissible correlation boundary, between the two branches.
+
+    A log_mass whose masses sum below 3/4 raises ValueError; the kernel's sum
+    is within ~1e-9 of 1 at N = 10**6.  At 3/4, any order of summing stays
+    above 1/2 for N below ~10**15, so the readers can rely on some tail
+    exceeding 1 - max(level, 1/2) and on a positive mass.  At exactly 1/2, a
+    cumulative sum could land on 1/2 while the total lies just above it.
     """
 
     log_mass: np.ndarray
+    span: tuple[int, int] = field(init=False, repr=False, compare=False)
+    mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lm = self.log_mass
@@ -117,34 +128,25 @@ class LossPmf:
         # min and max carry any NaN; together they find any infinity.
         if not (math.isfinite(lm.min()) and math.isfinite(lm.max())):
             raise ValueError("log_mass entries must all be finite")
+        above = lm > EXP_FLOOR
+        bits = above.tobytes()  # bytes.find and bytes.rfind are fast scans
+        # With no entry above the floor, (a, b) = (-1, 0) slices nothing.
+        a, b = bits.find(1), bits.rfind(1) + 1
+        del bits  # so that it does not coexist with `mass`
+        mass = np.zeros(lm.size)
+        # The mask skips exp at or below the floor, ~20 ns each against ~1 ns.
+        np.exp(lm[a:b], out=mass[a:b], where=above[a:b])
+        total = mass[a:b].sum()
+        if total < 0.75:
+            raise ValueError(f"the masses sum to {float(total)!r}, below 3/4")
+        mass.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
+        object.__setattr__(self, "span", (a, b))
+        object.__setattr__(self, "mass", mass)
 
     @property
     def n(self) -> int:
         return len(self.log_mass) - 1
-
-    @cached_property
-    def span(self) -> tuple[int, int]:
-        """[a, b) from the first to the last log mass above EXP_FLOOR, else all.
-
-        Every mass outside it is 0.0; inside, exp also gives 0.0 up to -745.13.
-        `mass` is computed here: `exp` runs only inside the span, above the floor.
-        """
-        above = self.log_mass > EXP_FLOOR
-        bits = above.tobytes()  # bytes.find and bytes.rfind are fast scans
-        last = bits.rfind(1)
-        a, b = (bits.find(1), last + 1) if last >= 0 else (0, len(bits))
-        mass = np.zeros(len(bits))
-        # The mask skips exp at or below the floor, ~20 ns each against ~1 ns.
-        np.exp(self.log_mass[a:b], out=mass[a:b], where=above[a:b])
-        mass.flags.writeable = False
-        self.__dict__["mass"] = mass
-        return a, b
-
-    @cached_property
-    def mass(self) -> np.ndarray:
-        self.span  # computes and caches `mass` too
-        return self.__dict__["mass"]
 
 
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
@@ -180,6 +182,7 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     log_mass = _log_binom_table(n)
     log_mass += col
     log_mass.flags.writeable = False
+    del col, near, far, window  # freed before LossPmf allocates `mass`
     return LossPmf(log_mass)
 
 
@@ -205,7 +208,7 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     """
     a, b = pmf.span
     mass = pmf.mass[a:b]
-    total = mass.sum() or 1.0  # a hand-built pmf of 0.0 masses has moments 0.0
+    total = mass.sum()
     l = np.arange(a, b, dtype=np.float64)
     mean = float(l @ mass / total)
     l -= mean

@@ -37,8 +37,8 @@ class GridSpec:
     margin: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.count < 3:
-            raise AdmissibilityError(f"grid count={self.count!r} must be >= 3")
+        if not isinstance(self.count, (int, np.integer)) or self.count < 3:
+            raise AdmissibilityError(f"grid count={self.count!r} must be an integer >= 3")
         if not self.margin > 0.0:
             raise AdmissibilityError(f"grid margin={self.margin!r} must be > 0")
 
@@ -82,25 +82,22 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     if not (0.0 < level < 1.0):
         raise AdmissibilityError(f"confidence level={level!r} must be in (0, 1)")
     # Masses outside the span are 0.0, so the sums over it are bit for bit
-    # those over the whole support.  tail[k] = P(L >= b - 1 - k), and k = b - a
-    # means that no tail, even the total mass, exceeds the target.
+    # those over the whole support.  tail[k] = P(L >= b - 1 - k); the last
+    # tail, the total mass, exceeds 1/2 (see LossPmf), so k < b - a.
     a, b = pmf.span
     mass = pmf.mass[a:b]
     tail = mass[::-1].cumsum()
-    k = int(tail.searchsorted(1.0 - max(level, 0.5), side="right"))
-    var = b - 1 - k if k < b - a else -1
+    var = b - 1 - int(tail.searchsorted(1.0 - max(level, 0.5), side="right"))
     if level <= 0.5:
         var = min(a + int(mass.cumsum().searchsorted(level, side="left")), var)
-    # Only a LossPmf whose masses sum below 0.5 gives -1.
-    return max(var, 0)
+    return var
 
 
 def mode_of(pmf: LossPmf) -> tuple[int, float]:
     """Argmax of the pmf and its probability; ties break to the smallest index."""
     a, b = pmf.span
     mode = a + int(pmf.mass[a:b].argmax())
-    # If every mass is 0.0, the first one is the argmax.
-    return (mode, float(pmf.mass[mode])) if pmf.mass[mode] else (0, 0.0)
+    return mode, float(pmf.mass[mode])
 
 
 def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
@@ -108,9 +105,8 @@ def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
     var_value = value_at_risk(pmf, level)
     mode, mode_prob = mode_of(pmf)
     mean, variance = loss_moments(pmf)
-    # A run of 0.0 at an end is a peak only if every mass is 0.0, at 0 then.
     a, b = pmf.span
-    peaks = tuple(a + i for i in peak_indices(pmf.mass[a:b])) if mode_prob else (0,)
+    peaks = tuple(a + i for i in peak_indices(pmf.mass[a:b]))
     return RiskReport(
         var_level=level,
         var_value=var_value,

@@ -45,6 +45,10 @@ def test_loss_pmf_container_validates():
         LossPmf(np.zeros(0))
     with pytest.raises(ValueError):
         LossPmf(np.array([0.0, -np.inf, 0.0]))
+    # Masses summing below 3/4 are refused (TestSpanReading has more cases).
+    with pytest.raises(ValueError, match="below 3/4"):
+        LossPmf(np.log([0.5, 0.24]))
+    assert LossPmf(np.log([0.5, 0.26])).span == (0, 2)
     pmf = LossPmf(np.log([0.5, 0.5]))
     assert pmf.n == 1
     np.testing.assert_allclose(pmf.mass, [0.5, 0.5], atol=1e-15)
@@ -130,8 +134,8 @@ class TestSkippedWork:
 
     def test_mass_around_exp_floor(self):
         # Spans the subnormal results just above the floor and the exact
-        # zeros below it.
-        log_mass = np.linspace(EXP_FLOOR - 30.0, -690.0, 2001)
+        # zeros below it; the last entry, a mass of 1, makes the sum valid.
+        log_mass = np.append(np.linspace(EXP_FLOOR - 30.0, -690.0, 2001), 0.0)
         pmf = LossPmf(log_mass)
         assert pmf.mass.tobytes() == np.exp(log_mass).tobytes()
 
@@ -187,9 +191,9 @@ class TestMemoryBudget:
         assert traced_peak(loss_pmf, self.CFG) <= self.BUDGET
 
     def test_risk_report_on_a_fresh_pmf(self):
-        # The fresh pmf has not computed `mass` yet; the report pays for it.
-        pmf = LossPmf(loss_pmf(self.CFG).log_mass)
-        assert traced_peak(risk_report, pmf) <= self.BUDGET
+        # Building the pmf computes `mass`; the trace pays for it.
+        log_mass = loss_pmf(self.CFG).log_mass
+        assert traced_peak(lambda: risk_report(LossPmf(log_mass))) <= self.BUDGET
 
 
 class TestMemoryBudgetWholeWindow(TestMemoryBudget):
@@ -350,9 +354,10 @@ class TestLossMoments:
         assert mean == pytest.approx(n * p, rel=1e-10)
         assert var == pytest.approx(n * p * (1 - p) * (1 + (n - 1) * rho * rho), rel=1e-10)
 
-    def test_pmf_without_a_mass_above_the_floor_has_zero_moments(self):
-        # Every mass is 0.0 in double precision; the sum is taken as 1, not 0.
-        assert loss_moments(LossPmf(np.full(3, -800.0))) == (0.0, 0.0)
+    def test_pmf_without_a_mass_above_the_floor_is_refused(self):
+        # Every mass is 0.0 in double precision, so there are no moments.
+        with pytest.raises(ValueError, match="below 3/4"):
+            LossPmf(np.full(3, -800.0))
 
 
 # 9 rho = rho_at(p, t) spread over each admissible interval.

@@ -224,7 +224,8 @@ HUMP = st.sampled_from([-1.0, -2.0, -740.0]) | st.floats(-60.0, 0.5)
 
 @st.composite
 def span_pmfs(draw):
-    """Log masses laid out as floor padding, humps with floor gaps between them, padding."""
+    """Log masses laid out as floor padding, humps with floor gaps between them,
+    padding, with one mass of at least 3/4 inserted anywhere, as LossPmf needs."""
     left = draw(st.lists(BELOW_FLOOR, max_size=6))
     body = draw(st.lists(
         st.lists(HUMP | ZERO_ABOVE_FLOOR, min_size=1, max_size=8)
@@ -233,7 +234,9 @@ def span_pmfs(draw):
     ))
     right = draw(st.lists(BELOW_FLOOR, max_size=6))
     log_mass = left + [x for part in body for x in part] + right
-    return log_mass or draw(st.lists(BELOW_FLOOR, min_size=1, max_size=3))
+    at = draw(st.integers(0, len(log_mass)))
+    log_mass.insert(at, draw(st.floats(np.log(0.75), 0.5)))
+    return log_mass
 
 
 LEVELS = (st.sampled_from([0.001, 0.25, 0.5, np.nextafter(0.5, 1.0), 0.75, 0.99,
@@ -246,15 +249,9 @@ class TestSpanReading:
     they must equal the same searches over the whole support."""
 
     @given(log_mass=span_pmfs(), levels=st.lists(LEVELS, min_size=1, max_size=4))
-    # Every entry below the floor: the span is the whole support.
-    @example(log_mass=[-800.0, EXP_FLOOR, -1e4], levels=[0.3, 0.99])
-    # Above the floor, but every mass 0.0.
-    @example(log_mass=[-800.0, -745.5, -745.2, -800.0], levels=[0.3, 0.99])
     # A single non-zero mass, at an end and inside.
     @example(log_mass=[0.0, -800.0, -900.0], levels=[0.3, 0.99])
     @example(log_mass=[-800.0, -745.5, 0.0, -745.5, -800.0], levels=[0.3, 0.99])
-    # Masses summing below 0.5: VaR clamps -1 to 0 on both sides of 0.5.
-    @example(log_mass=[-800.0, -3.0, -2.0, -3.0, -800.0], levels=[0.01, 0.4, 0.99])
     # Two humps with a zero gap and zero-mass entries at the span ends.
     @example(log_mass=[-1e4, -745.5, -1.0, -2.0, -900.0, -745.2, -2.0, -1.0, -745.5, -800.0],
              levels=[0.2, 0.5, 0.8])
@@ -274,11 +271,31 @@ class TestSpanReading:
             assert rep.peaks == tuple(peaks)
             assert all(type(i) is int for i in (rep.var_value, rep.mode, *rep.peaks))
 
-    def test_span_is_the_whole_support_when_all_below_floor(self):
-        assert LossPmf(np.array([-800.0, EXP_FLOOR, -1e4])).span == (0, 3)
+    @pytest.mark.parametrize("level", [0.01, 0.4, 0.5, 0.9, 0.99, 1 - 1e-9, 1 - 1e-15])
+    @pytest.mark.parametrize("p, rho, n", [
+        # Span (14944, 92190): 59,920 entries below the floor and 9 more of
+        # mass 0.0 above it lie between the two branches.
+        (0.634, 0.690218, 99858),
+        (0.3, 0.2, 100000),
+    ])
+    def test_kernel_pmf_with_a_zero_gap_between_branches(self, p, rho, n, level):
+        pmf = loss_pmf(ModelConfig(n, p, rho))
+        var, mode, peaks = full_support_reference(pmf.mass, level)
+        rep = risk_report(pmf, level)
+        assert (rep.var_value, rep.mode, rep.mode_prob) == (var, mode, pmf.mass[mode])
+        assert rep.peaks == tuple(peaks)
+
+    @pytest.mark.parametrize("log_mass", [
+        pytest.param([-800.0, EXP_FLOOR, -1e4], id="all-below-floor"),
+        pytest.param([-800.0, -745.5, -745.2, -800.0], id="all-zero-above-floor"),
+        pytest.param([-800.0, -3.0, -2.0, -3.0, -800.0], id="sum-below-half"),
+    ])
+    def test_refuses_masses_summing_below_three_quarters(self, log_mass):
+        with pytest.raises(ValueError, match="below 3/4"):
+            LossPmf(np.array(log_mass))
 
     def test_span_ends_at_the_last_entry_above_floor(self):
-        pmf = LossPmf(np.array([-800.0, -745.5, -1.0, -900.0, -2.0, EXP_FLOOR]))
+        pmf = LossPmf(np.array([-800.0, -745.5, -0.1, -900.0, -2.0, EXP_FLOOR]))
         assert pmf.span == (1, 5)
 
     def test_writeable_input_is_copied(self):
@@ -301,6 +318,9 @@ class TestScanRho:
     def test_grid_spec_validation(self):
         with pytest.raises(AdmissibilityError):
             GridSpec(count=2)
+        for count in (201.0, 5.5, "7"):
+            with pytest.raises(AdmissibilityError, match=f"count={count!r}"):
+                GridSpec(count=count)
         with pytest.raises(AdmissibilityError):
             GridSpec(margin=0.0)
         with pytest.raises(AdmissibilityError):

@@ -136,6 +136,11 @@ class TestSample:
         with pytest.raises(AdmissibilityError):
             sample(ModelConfig(10, 0.4, 0.1), 0, seed=0)
 
+    @pytest.mark.parametrize("count", [201.0, 5.5, "7"])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        with pytest.raises(AdmissibilityError, match=f"count={count!r}"):
+            sample(ModelConfig(10, 0.4, 0.1), count, seed=0)
+
     def test_rejects_n_past_int64(self):
         # rng.binomial takes N as an int64; past that it would raise OverflowError.
         with pytest.raises(AdmissibilityError, match="9223372036854775807"):

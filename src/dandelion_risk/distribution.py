@@ -19,18 +19,24 @@ precision, so its output is bit-for-bit that of the full-array formulas:
   Where it exceeds ``LSE_GAP`` = 800 in magnitude, exp(-gap) underflows to
   exactly 0.0 and ``np.logaddexp`` returns the larger branch, so it runs
   only on the one window of l (about 1600/|logit r1 - logit r0| wide) where
-  the gap is smaller.
+  the gap is smaller.  Where every branch term in that window is at most
+  -1/2 and the lines' rounding is well below 1, the window shrinks to a gap
+  of ``LSE_GAP_NARROW`` = 40, about 20 times narrower: past it the addend
+  log1p(exp(-gap)) is below half an ulp of the larger term (see
+  :func:`loss_pmf`).
 * ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
   the linear view exponentiates only its span: the first to the last log
   mass above it.  Outside the span every mass is 0.0, so VaR, mode and peaks
   read the span alone.
 * log C(N, l) comes from one prefix of log-factorials shared by every N.
 
-``loss_pmf`` allocates its result, the log masses (first the log-binomial
-table) and the linear masses, and one scratch column of N+1 floats, turned
-into the branch terms in place and freed before the linear masses are made;
-the window gets one temporary of its own size, freed before the table is
-built.
+``loss_pmf`` allocates its result, the log masses and the linear masses, and
+one log-binomial table of N+1 floats.  The log masses start as a column
+turned into the branch terms in place; the window gets one temporary of its
+own size, freed before the table is built.  The table is added into the
+column and freed before the linear masses are made.  ``metrics.scan_rho``
+builds the table once, read-only, and adds it into each point's column, so
+a scan holds one array more.
 """
 
 from __future__ import annotations
@@ -45,8 +51,12 @@ from .core_model import ModelConfig, _branch_lines
 # np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
 # exactly 0.0 for d > 745.14; past this gap it returns the larger term.
 LSE_GAP = 800.0
+# Past a computed gap of 39, exp(-d) < 2**-54, which log1p returns unchanged
+# and which rounds away against a larger term of magnitude >= 1/2.
+LSE_GAP_NARROW = 40.0
 # exp(t) is exactly 0.0 for t < -745.14.
 EXP_FLOOR = -746.0
+_LOG_FOUR_THIRDS = math.log(4 / 3)
 
 # log k! = math.lgamma(k + 1) for k = 0, 1, ...; grown on demand, read-only.
 # Readers take it once into a local; if two threads grow it at once, the last
@@ -74,8 +84,8 @@ def _log_binom_table(n: int) -> np.ndarray:
     return table
 
 
-def _logaddexp_window(gap: float, slope: float, n: int) -> tuple[int, int]:
-    """Slice [lo, hi) of {0..n} where the branch gap |gap + slope*l| < LSE_GAP.
+def _logaddexp_window(gap: float, slope: float, n: int, limit: float) -> tuple[int, int]:
+    """Slice [lo, hi) of {0..n} where the branch gap |gap + slope*l| < limit.
 
     The gap is linear in l, so the slice is the integers strictly between
     two closed-form ends.  The ends are clamped as floats before they become
@@ -83,8 +93,8 @@ def _logaddexp_window(gap: float, slope: float, n: int) -> tuple[int, int]:
     is the same everywhere.
     """
     if slope == 0.0:
-        return (0, n + 1) if abs(gap) < LSE_GAP else (0, 0)
-    a, b = sorted(((-LSE_GAP - gap) / slope, (LSE_GAP - gap) / slope))
+        return (0, n + 1) if abs(gap) < limit else (0, 0)
+    a, b = sorted(((-limit - gap) / slope, (limit - gap) / slope))
     lo = math.floor(min(max(a, -1.0), n)) + 1
     hi = math.ceil(min(max(b, 0.0), n + 1.0))
     return lo, max(hi, lo)
@@ -106,11 +116,13 @@ class LossPmf:
     underflow to 0.0 in it, which happens in the far tails and, very close to
     the admissible correlation boundary, between the two branches.
 
-    A log_mass whose masses sum below 3/4 raises ValueError; the kernel's sum
-    is within ~1e-9 of 1 at N = 10**6.  At 3/4, any order of summing stays
-    above 1/2 for N below ~10**15, so the readers can rely on some tail
-    exceeding 1 - max(level, 1/2) and on a positive mass.  At exactly 1/2, a
-    cumulative sum could land on 1/2 while the total lies just above it.
+    A log_mass whose masses sum below 3/4 or above 4/3 raises ValueError; the
+    kernel's sum is within ~1e-9 of 1 at N = 10**6.  At 3/4, any order of
+    summing stays above 1/2 for N below ~10**15, so the readers can rely on
+    some tail exceeding 1 - max(level, 1/2) and on a positive mass.  At
+    exactly 1/2, a cumulative sum could land on 1/2 while the total lies just
+    above it.  The upper bound keeps a mode probability or moment from
+    reading above 1 by more than a third, or as inf or nan.
     """
 
     log_mass: np.ndarray
@@ -126,8 +138,12 @@ class LossPmf:
         if lm.ndim != 1 or lm.size == 0:
             raise ValueError(f"log_mass has shape {lm.shape}, expected 1-D, non-empty")
         # min and max carry any NaN; together they find any infinity.
-        if not (math.isfinite(lm.min()) and math.isfinite(lm.max())):
+        top = lm.max()
+        if not (math.isfinite(lm.min()) and math.isfinite(top)):
             raise ValueError("log_mass entries must all be finite")
+        # One mass above 4/3 is refused before exp can overflow on it.
+        if top > _LOG_FOUR_THIRDS:
+            raise ValueError(f"a log mass of {float(top)!r} puts the sum above 4/3")
         above = lm > EXP_FLOOR
         bits = above.tobytes()  # bytes.find and bytes.rfind are fast scans
         # With no entry above the floor, (a, b) = (-1, 0) slices nothing.
@@ -137,8 +153,9 @@ class LossPmf:
         # The mask skips exp at or below the floor, ~20 ns each against ~1 ns.
         np.exp(lm[a:b], out=mass[a:b], where=above[a:b])
         total = mass[a:b].sum()
-        if total < 0.75:
-            raise ValueError(f"the masses sum to {float(total)!r}, below 3/4")
+        if not 0.75 <= total <= 4 / 3:
+            side = "below 3/4" if total < 0.75 else "above 4/3"
+            raise ValueError(f"the masses sum to {float(total)!r}, {side}")
         mass.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
         object.__setattr__(self, "span", (a, b))
@@ -147,6 +164,29 @@ class LossPmf:
     @property
     def n(self) -> int:
         return len(self.log_mass) - 1
+
+
+def _branch_window(c0: float, slope0: float, c1: float, slope1: float,
+                   n: int) -> tuple[int, int]:
+    """Slice [lo, hi) of {0..n} where `loss_pmf` runs np.logaddexp.
+
+    It is the LSE_GAP window, narrowed to the LSE_GAP_NARROW one when the
+    largest branch term M in the former is at most -1/2 and the rounding
+    slack 8*eps*(|c0| + |c1| + N*(|slope0| + |slope1|)) of the lines is
+    below 1.  The lines are evaluated at both ends as the kernel does,
+    l*slope first, then + c; computed lines are monotone in l, so the four
+    values bound every term of the window.
+    """
+    gap, slope = c1 - c0, slope1 - slope0
+    lo, hi = _logaddexp_window(gap, slope, n, LSE_GAP)
+    if lo == hi:
+        return lo, hi
+    top = max(lo * slope0 + c0, (hi - 1) * slope0 + c0,
+              lo * slope1 + c1, (hi - 1) * slope1 + c1)
+    slack = 8 * math.ulp(1.0) * (abs(c0) + abs(c1) + n * (abs(slope0) + abs(slope1)))
+    if top <= -0.5 and slack < 1.0:
+        return _logaddexp_window(gap, slope, n, LSE_GAP_NARROW)
+    return lo, hi
 
 
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
@@ -159,18 +199,34 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     LSE_GAP = 800; elsewhere it would return the larger branch exactly, so
     that is taken directly.  Near rho = 0, where the two rates nearly agree,
     the window is the whole support.
+
+    Where every branch term in that window is at most -1/2 and the rounding
+    slack of the lines is below 1, the window is the one where the gap is
+    below LSE_GAP_NARROW = 40 instead, with the same bytes.  Outside it the
+    computed gap |x - y| is at least 39, so exp(-|x - y|) < 2**-54; log1p
+    returns an argument that small unchanged, and it is below half an ulp of
+    a larger term of magnitude >= 1/2, so np.logaddexp returns the larger
+    term bit for bit.  The guard is needed: where cancellation in
+    c1 + slope1*N leaves the larger term at exactly 0.0, logaddexp returns
+    the addend itself (2.05e-199 at p = 1 - 2.4e-15, rho = 0.0367,
+    N = 11348), not 0.
     """
+    return _loss_pmf(cfg)
+
+
+def _loss_pmf(cfg: ModelConfig, table: np.ndarray | None = None) -> LossPmf:
+    """`loss_pmf`, adding a log C(N, l) table shared across calls (a scan's)
+    into the branch column, or a fresh one when table is None."""
     n = cfg.n_credits
     c0, slope0, c1, slope1 = _branch_lines(cfg)
-    gap, slope = c1 - c0, slope1 - slope0
-    lo, hi = _logaddexp_window(gap, slope, n)
+    lo, hi = _branch_window(c0, slope0, c1, slope1, n)
     # Column l becomes the branch terms in place.  Past the window, on the
-    # far side (where slope, or gap if slope = 0, makes the gap >= LSE_GAP),
-    # the larger is y = c1 + slope1*l; on the near side x = c0 + slope0*l.
+    # far side (where slope, or gap if slope = 0, makes the gap large), the
+    # larger is y = c1 + slope1*l; on the near side x = c0 + slope0*l.
     col = np.arange(n + 1, dtype=np.float64)
     y = col[lo:hi] * slope1
     y += c1
-    grows = (slope or gap) > 0.0
+    grows = ((slope1 - slope0) or (c1 - c0)) > 0.0
     near, far = (col[:hi], col[hi:]) if grows else (col[lo:], col[:lo])
     near *= slope0
     near += c0
@@ -179,11 +235,11 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     window = col[lo:hi]
     np.logaddexp(window, y, out=window)
     del y
-    log_mass = _log_binom_table(n)
-    log_mass += col
-    log_mass.flags.writeable = False
-    del col, near, far, window  # freed before LossPmf allocates `mass`
-    return LossPmf(log_mass)
+    # A fresh table is built after the window temporary is freed, and freed
+    # before LossPmf allocates `mass`.
+    col += _log_binom_table(n) if table is None else table
+    col.flags.writeable = False
+    return LossPmf(col)
 
 
 def rho_noncentral(cfg: ModelConfig) -> float:
@@ -210,10 +266,12 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     mass = pmf.mass[a:b]
     total = mass.sum()
     l = np.arange(a, b, dtype=np.float64)
-    mean = float(l @ mass / total)
+    # einsum, not the BLAS dot behind `@`: above 10**4 entries a threaded dot
+    # splits the sum, so its bits would depend on the BLAS thread count.
+    mean = float(np.einsum("i,i->", l, mass) / total)
     l -= mean
     l *= l
-    return mean, float(l @ mass / total)
+    return mean, float(np.einsum("i,i->", l, mass) / total)
 
 
 def peak_indices(mass: np.ndarray) -> list[int]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import AdmissibilityError, ModelConfig, rho_bounds
-from .distribution import LossPmf, loss_moments, loss_pmf, peak_indices
+from .distribution import LossPmf, _log_binom_table, _loss_pmf, loss_moments, peak_indices
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,11 @@ def scan_rho(
 
     The grid spans [lower+margin, 1-margin]; each point is evaluated
     independently and results are merged in grid order, so the output is
-    deterministic for identical inputs.  The points are even over that span,
+    deterministic for identical inputs.  Every report is byte for byte
+    risk_report(loss_pmf(cfg), level) at its point: the scan builds the
+    log C(N, l) table once, read-only, and adds it into each point's branch
+    column, so it holds one more array of N+1 floats than a point query does
+    (8 MB at N = 10**6).  The points are even over that span,
     so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
     2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
     |lower|, none (margin 1e-6 gives 1).
@@ -144,10 +148,11 @@ def scan_rho(
             f"margin={grid_spec.margin!r} leaves no admissible grid at p={p!r}"
         )
     grid = np.linspace(lo, hi, grid_spec.count)
-    reports = tuple(
-        risk_report(loss_pmf(ModelConfig(n_credits=n, p=p, rho=float(r))), level)
-        for r in grid
-    )
+    # Every config is validated, n included, before the table is sized by n.
+    cfgs = [ModelConfig(n_credits=n, p=p, rho=float(r)) for r in grid]
+    table = _log_binom_table(n)
+    table.flags.writeable = False
+    reports = tuple(risk_report(_loss_pmf(cfg, table), level) for cfg in cfgs)
     modes = np.array([r.mode for r in reports])
     diffs = np.diff(modes)
     k = int(np.argmax(np.abs(diffs)))

@@ -1,12 +1,15 @@
 """Tests for the loss distribution, its log-space kernel and its closed-form moments."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -24,9 +27,12 @@ from dandelion_risk import distribution
 from dandelion_risk.distribution import (
     EXP_FLOOR,
     LSE_GAP,
+    LSE_GAP_NARROW,
+    _branch_window,
     _log_binom_table,
     _logaddexp_window,
 )
+from dandelion_risk.core_model import _branch_lines
 
 from conftest import (
     lower_bound,
@@ -97,17 +103,32 @@ class TestLossPmf:
         assert np.abs(pmf.mass - enumerate_model(cfg).loss_pmf_bf).max() < 1e-10
 
 
+# Distances of p from 0 or 1, log-uniform on 1e-15..0.02.
+EXTREME = st.floats(math.log(1e-15), math.log(0.02)).map(math.exp)
+
+
 @st.composite
 def kernel_configs(draw):
-    """N log-uniform on 2..10**5; rho near a bound, at or near 0, or interior."""
+    """N log-uniform on 2..10**5; p on 0.02..0.98 or log-uniform within
+    1e-15..0.02 of 0 or 1; rho near a bound, at or near 0, or interior."""
     n = round(math.exp(draw(st.floats(math.log(2), math.log(1e5)))))
-    p = draw(st.floats(0.02, 0.98))
+    p = draw(st.floats(0.02, 0.98) | EXTREME | EXTREME.map(lambda e: 1.0 - e))
     d = draw(st.floats(1e-9, 1e-6))
+    # Near p = 0 or 1 the lower bound is above -d, so -d is left out there.
     rho = draw(st.sampled_from([
-        lower_bound(p) + d, 1.0 - d, d, -d, 0.0, 5e-324, -5e-324,
-        rho_at(p, draw(st.floats(0.001, 0.999))),
+        r for r in (lower_bound(p) + d, 1.0 - d, d, -d, 0.0, 5e-324, -5e-324,
+                    rho_at(p, draw(st.floats(0.001, 0.999))))
+        if r > lower_bound(p)
     ]))
     return ModelConfig(n_credits=n, p=p, rho=rho)
+
+
+# Cancellation in c1 + slope1*N leaves the larger branch term at exactly 0.0
+# here, where logaddexp returns the addend (2.05e-199 in the first), not 0.
+ZERO_TOP_TERM = [
+    ModelConfig(11348, 0.9999999999999976, 0.036661165738340086),
+    ModelConfig(350, 0.9999999999999959, 0.750542720273491),
+]
 
 
 class TestSkippedWork:
@@ -116,6 +137,8 @@ class TestSkippedWork:
 
     @settings(max_examples=150, deadline=None)
     @given(cfg=kernel_configs())
+    @example(cfg=ZERO_TOP_TERM[0])
+    @example(cfg=ZERO_TOP_TERM[1])
     def test_bytes_equal_full_formulas(self, cfg):
         log_mass, mass = oracle_loss_pmf_full(cfg)
         pmf = loss_pmf(cfg)
@@ -148,8 +171,9 @@ class TestSkippedWork:
         ),
         n=st.integers(2, 3000),
     )
-    def test_window_is_where_the_gap_is_small(self, alpha0, beta, n):
-        lo, hi = _logaddexp_window(alpha0, beta, n)
+    @pytest.mark.parametrize("limit", [LSE_GAP, LSE_GAP_NARROW])
+    def test_window_is_where_the_gap_is_small(self, limit, alpha0, beta, n):
+        lo, hi = _logaddexp_window(alpha0, beta, n, limit)
         assert 0 <= lo <= hi <= n + 1
         assert type(lo) is int and type(hi) is int
         gap = np.abs(alpha0 + beta * np.arange(n + 1.0))
@@ -158,9 +182,25 @@ class TestSkippedWork:
         # The tolerance covers rounding of the gap and of the window ends.
         tol = 1e-9 * (1.0 + abs(alpha0) + abs(beta) * n)
         # Skipped entries are past the gap where logaddexp returns the max ...
-        assert np.all(gap[~inside] >= LSE_GAP - tol)
+        assert np.all(gap[~inside] >= limit - tol)
         # ... and no entry is computed that could have been skipped.
-        assert np.all(gap[inside] < LSE_GAP + tol)
+        assert np.all(gap[inside] < limit + tol)
+
+    @pytest.mark.parametrize("cfg, limit", [
+        (ModelConfig(10**4, 0.4, 0.3), LSE_GAP_NARROW),
+        (ModelConfig(10**4, 0.05, -0.05), LSE_GAP_NARROW),
+        (ModelConfig(100, 0.4, -0.26), LSE_GAP_NARROW),
+        # The largest branch term of the wide window is -0.511 here, so it is
+        # narrowed; in the next two it is -0.260 and -0.210, above -1/2.
+        (ModelConfig(100, 0.01, 0.5), LSE_GAP_NARROW),
+        (ModelConfig(100, 0.01, 0.75), LSE_GAP),
+        (ModelConfig(100, 0.99, 0.8), LSE_GAP),
+        *((cfg, LSE_GAP) for cfg in ZERO_TOP_TERM),
+    ])
+    def test_narrow_window_only_where_exact(self, cfg, limit):
+        c0, slope0, c1, slope1 = _branch_lines(cfg)
+        expected = _logaddexp_window(c1 - c0, slope1 - slope0, cfg.n_credits, limit)
+        assert _branch_window(c0, slope0, c1, slope1, cfg.n_credits) == expected
 
 
 def traced_peak(fn, *args):
@@ -353,6 +393,28 @@ class TestLossMoments:
         mean, var = loss_moments(loss_pmf(ModelConfig(n, p, rho)))
         assert mean == pytest.approx(n * p, rel=1e-10)
         assert var == pytest.approx(n * p * (1 - p) * (1 + (n - 1) * rho * rho), rel=1e-10)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # A BLAS dot splits sums this long across its threads; these three
+        # differed in their last bits between 1 and 2 OpenBLAS threads.
+        code = (
+            "from dandelion_risk import ModelConfig, loss_moments, loss_pmf\n"
+            "for cfg in [(104393, 0.7745026313708422, 0.7122627087235156),\n"
+            "            (112758, 0.3072212420793274, -0.30122691775681165),\n"
+            "            (28149, 0.09388193965445124, 0.9440012304554601)]:\n"
+            "    print(repr(loss_moments(loss_pmf(ModelConfig(*cfg)))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(distribution.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0].count("\n") == 3
+        assert outputs[0] == outputs[1]
 
     def test_pmf_without_a_mass_above_the_floor_is_refused(self):
         # Every mass is 0.0 in double precision, so there are no moments.

@@ -1,5 +1,6 @@
 """Tests for VaR, mode, risk reports, and the correlation scan."""
 
+import math
 from itertools import accumulate
 
 import mpmath
@@ -225,7 +226,9 @@ HUMP = st.sampled_from([-1.0, -2.0, -740.0]) | st.floats(-60.0, 0.5)
 @st.composite
 def span_pmfs(draw):
     """Log masses laid out as floor padding, humps with floor gaps between them,
-    padding, with one mass of at least 3/4 inserted anywhere, as LossPmf needs."""
+    padding, with one mass of at least 3/4 inserted anywhere.  LossPmf needs
+    the sum within [3/4, 4/3], so a larger sum is scaled to 1: every log mass
+    above -700 is shifted by the same amount, keeping ties, the rest kept."""
     left = draw(st.lists(BELOW_FLOOR, max_size=6))
     body = draw(st.lists(
         st.lists(HUMP | ZERO_ABOVE_FLOOR, min_size=1, max_size=8)
@@ -236,6 +239,10 @@ def span_pmfs(draw):
     log_mass = left + [x for part in body for x in part] + right
     at = draw(st.integers(0, len(log_mass)))
     log_mass.insert(at, draw(st.floats(np.log(0.75), 0.5)))
+    total = math.fsum(math.exp(x) for x in log_mass)
+    if total > 4 / 3:
+        shift = math.log(total)
+        log_mass = [x - shift if x > -700.0 else x for x in log_mass]
     return log_mass
 
 
@@ -292,6 +299,15 @@ class TestSpanReading:
     ])
     def test_refuses_masses_summing_below_three_quarters(self, log_mass):
         with pytest.raises(ValueError, match="below 3/4"):
+            LossPmf(np.array(log_mass))
+
+    @pytest.mark.parametrize("log_mass", [
+        pytest.param([5.0, 0.0], id="mass-148"),
+        pytest.param([800.0, 0.0], id="exp-overflows"),
+        pytest.param(np.log([0.7, 0.7]).tolist(), id="sum-1.4"),
+    ])
+    def test_refuses_masses_summing_above_four_thirds(self, log_mass):
+        with pytest.raises(ValueError, match="above 4/3"):
             LossPmf(np.array(log_mass))
 
     def test_span_ends_at_the_last_entry_above_floor(self):
@@ -389,11 +405,13 @@ class TestScanRho:
             rep = risk_report(loss_pmf(ModelConfig(100, 0.4, rho)))
             assert len(rep.peaks) == 2
 
+    @pytest.mark.parametrize("n", [2, 100, 2000, 10**4])
     @pytest.mark.parametrize("p", [0.1, 0.5])
-    def test_reports_equal_single_point_reports(self, p):
-        # The scan evaluates each grid point through the single-point path, so
-        # every report, peaks and moments included, matches it to the last bit.
-        res = scan_rho(p, 2000, GridSpec(count=51))
+    def test_reports_equal_single_point_reports(self, p, n):
+        # The scan shares one log-binomial table across its points but adds
+        # the same column into it, so every report, peaks and moments
+        # included, matches the single-point path repr for repr.
+        res = scan_rho(p, n, GridSpec(count=51))
         for rho, report in zip(res.rho_grid, res.reports, strict=True):
-            cfg = ModelConfig(2000, p, float(rho))
-            assert report == risk_report(loss_pmf(cfg), 0.99)
+            cfg = ModelConfig(n, p, float(rho))
+            assert repr(report) == repr(risk_report(loss_pmf(cfg), 0.99))

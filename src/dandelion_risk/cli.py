@@ -10,7 +10,8 @@ UTC timestamp; reruns with identical flags produce byte-identical data
 payloads, with only manifest timestamps differing.
 
 Exit codes: 0 success, 2 argument or domain error (including a size too
-large to allocate), 3 I/O error.
+large to allocate), 3 I/O error: an output file or sidecar that cannot be
+written, or a stdout or stderr that is closed or full.
 """
 
 from __future__ import annotations
@@ -156,18 +157,11 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
             sys.stderr.write(sidecar)
         return
     path = _resolve_output(output)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        if sidecar is not None:
-            with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-                fh.write(sidecar)
-    except OSError as exc:
-        raise _IOFailure(f"cannot write output file {path!r}: {exc}") from exc
-
-
-class _IOFailure(Exception):
-    pass
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+    if sidecar is not None:
+        with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
+            fh.write(sidecar)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -324,11 +318,21 @@ def main(argv=None) -> int:
             }
             _emit(*table, json.dumps(manifest, sort_keys=True), args.format,
                   args.output)
+        sys.stdout.flush()
         return 0
     except (ValueError, MemoryError) as exc:
         # A MemoryError comes from an N or --count too large to allocate.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, message = 2, f"error: {exc}\n"
+    except OSError as exc:
+        code, message = 3, f"error: cannot write output: {exc}\n"
+    # The interpreter flushes both streams again at exit, and a failure there
+    # turns the exit status into 120.  So each is flushed here, stdout first
+    # so that its rows precede the error line, and one that fails (a closed
+    # pipe, a full device) is pointed at os.devnull.
+    for stream, text in ((sys.stdout, ""), (sys.stderr, message)):
+        try:
+            stream.write(text)
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code

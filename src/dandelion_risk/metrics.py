@@ -57,11 +57,6 @@ class ScanResult:
     rho_star: float | None
     jump_size: int
 
-    def __post_init__(self) -> None:
-        grid = np.array(self.rho_grid, dtype=np.float64)
-        grid.flags.writeable = False
-        object.__setattr__(self, "rho_grid", grid)
-
     @property
     def modes(self) -> np.ndarray:
         return np.array([r.mode for r in self.reports])
@@ -148,6 +143,7 @@ def scan_rho(
             f"margin={grid_spec.margin!r} leaves no admissible grid at p={p!r}"
         )
     grid = np.linspace(lo, hi, grid_spec.count)
+    grid.flags.writeable = False
     # Every config is validated, n included, before the table is sized by n.
     cfgs = [ModelConfig(n_credits=n, p=p, rho=float(r)) for r in grid]
     table = _log_binom_table(n)

@@ -135,6 +135,14 @@ class TestPmfCommand:
         assert code == 3
         assert "cannot write" in err
 
+    def test_unwritable_sidecar_exits_3(self, tmp_path, capsys):
+        sidecar = tmp_path / "out.csv.manifest.json"
+        sidecar.mkdir()
+        code, _, err = run(capsys, "pmf", "--p", "0.4", "--rho", "0.26", "--n", "10",
+                           "--output", str(tmp_path / "out.csv"))
+        assert code == 3
+        assert "cannot write" in err and str(sidecar) in err
+
     def test_csv_rows_across_blocks(self, capsys):
         n = MULTI_BLOCK_ROWS - 1
         code, out, _ = run(capsys, "pmf", "--p", "0.4", "--rho", "-0.26", "--n", str(n))
@@ -459,6 +467,70 @@ def test_console_help_smoke(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "calibrate" in out and "scan" in out
+
+
+def spawn_cli(argv, stdout, stderr):
+    """Run `python -m dandelion_risk` in a child process on the given streams.
+
+    PYTHONUNBUFFERED is dropped, so the child's streams are buffered and the
+    interpreter flushes them again at exit, as in a shell pipeline.
+    """
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    src = str(Path(dandelion_risk.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "dandelion_risk", *argv],
+                          stdout=stdout, stderr=stderr, env=env, timeout=300)
+
+
+MODEL_FLAGS = ["--p", "0.4", "--rho", "-0.26"]
+
+
+# Each case names the streams whose pipe has no reader; "both" is one pipe
+# for stdout and stderr, as in `2>&1 | head`.  N = 300000 rows are far past a
+# pipe's buffer, so the writes themselves fail; the small outputs fail when
+# they are flushed.
+@pytest.mark.parametrize("closed, argv, exit_code", [
+    ("stdout", ["pmf", "--n", "300000", *MODEL_FLAGS], 3),
+    ("stdout", ["pmf", "--n", "100", "--format", "json", *MODEL_FLAGS], 3),
+    ("stdout", ["metrics", "--n", "100", *MODEL_FLAGS], 3),
+    ("stdout", ["calibrate", "--n", "100", *MODEL_FLAGS], 3),
+    ("stderr", ["pmf", "--n", "300000", *MODEL_FLAGS], 3),
+    ("both", ["pmf", "--n", "300000", *MODEL_FLAGS], 3),
+    ("both", ["sample", "--n", "100", "--count", "300000", *MODEL_FLAGS], 3),
+    ("stderr", ["pmf", "--n", "10", "--p", "0.4", "--rho", "5"], 2),
+], ids=["stdout-pmf-csv", "stdout-pmf-json", "stdout-metrics", "stdout-calibrate",
+        "stderr-pmf-csv", "both-pmf-csv", "both-sample-csv", "stderr-domain-error"])
+def test_closed_pipe_exits_with_the_error_code(tmp_path, capsys, closed, argv,
+                                               exit_code):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = spawn_cli(argv,
+                           subprocess.PIPE if closed == "stderr" else write_end,
+                           subprocess.PIPE if closed == "stdout" else write_end)
+    finally:
+        os.close(write_end)
+    assert result.returncode == exit_code
+    if closed == "stdout":
+        # One error line at most: no traceback, no "Exception ignored".
+        assert re.fullmatch(r"(error: [^\n]*\n)?", result.stderr.decode())
+    if closed == "stderr" and exit_code == 3:
+        # Only the manifest was lost: the rows arrive whole.
+        path = tmp_path / "rows.csv"
+        assert main([*argv, "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert result.stdout == path.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_3():
+    with open("/dev/full", "wb") as full:
+        result = spawn_cli(["metrics", "--n", "100", *MODEL_FLAGS], full,
+                           subprocess.PIPE)
+    assert result.returncode == 3
+    assert result.stderr.decode() == ("error: cannot write output: [Errno 28] "
+                                      "No space left on device\n")
 
 
 def scipy_references(source: str) -> list[str]:

@@ -19,7 +19,6 @@ from .core_model import (
     conditional_probs,
     q_to_rho,
     rho_bounds,
-    rho_to_q,
 )
 from .distribution import (
     LossPmf,

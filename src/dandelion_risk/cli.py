@@ -145,7 +145,10 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
 
     `manifest` is the manifest's JSON text, written as given.  JSON embeds it
     next to `data` (columns and extras).  CSV puts it in a sidecar
-    `<file>.manifest.json`, or on stderr when the rows go to stdout.
+    `<file>.manifest.json`, or on stderr when the rows go to stdout.  When a
+    file write fails, each file this call opened that is a regular file, not
+    a symlink or a device, is removed before the error is re-raised, so no
+    partial output or output without its manifest is left.
     """
     if fmt == "json":
         chunks, sidecar = _json_chunks(columns, extras, manifest), None
@@ -157,11 +160,19 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
             sys.stderr.write(sidecar)
         return
     path = _resolve_output(output)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
-    if sidecar is not None:
-        with open(path + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(sidecar)
+    rows = side = None
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as rows:
+            rows.writelines(chunks)
+        if sidecar is not None:
+            with open(path + ".manifest.json", "w", encoding="utf-8") as side:
+                side.write(sidecar)
+    except OSError:
+        # A name is bound only once its open succeeded.
+        for fh in (rows, side):
+            if fh and os.path.isfile(fh.name) and not os.path.islink(fh.name):
+                os.remove(fh.name)
+        raise
 
 
 # --- subcommands --------------------------------------------------------------

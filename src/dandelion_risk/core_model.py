@@ -11,6 +11,10 @@ default rates conditional on the central node, r0 = p*(1-rho) and
 r1 = p + rho*(1-p).  q = E[L0*Li] = rho*p*(1-p) + p**2 = p*r1 is the joint
 default probability of the central node and any leaf.
 
+:class:`ModelConfig` is the one admissibility check: it compares rho with the
+bounds of :func:`rho_bounds`, and its ``q`` property forms q.  The inverse,
+:func:`q_to_rho`, maps the max-ent fit's input q to rho.
+
 Everything here works in log space: Z = (1-r0)^-N / (1-p) is never formed in
 linear space because it can overflow a double at N ~ 100.
 """
@@ -65,36 +69,12 @@ def rho_bounds(p: float) -> RhoInterval:
     return RhoInterval(lower=lower, upper=1.0)
 
 
-def _joint_moment(p: float, rho: float) -> float:
-    return rho * p * (1.0 - p) + p * p
-
-
-def rho_to_q(p: float, rho: float) -> float:
-    """Map the central correlation to the joint moment q = rho*p*(1-p) + p**2.
-
-    Only rho is checked, against the margins of :func:`rho_bounds`.  At a
-    tiny p, q may underflow to 0.0; no model computation reads it, they all
-    start from the conditional rates.
-    """
-    bounds = rho_bounds(p)
-    if not math.isfinite(rho):
-        raise AdmissibilityError(f"rho={rho!r} is not finite")
-    if rho - bounds.lower <= EPS_BOUND * abs(bounds.lower):
-        raise AdmissibilityError(
-            f"rho={rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
-            f"= {bounds.lower!r} at p={p!r}; admissible open interval is "
-            f"({bounds.lower!r}, {bounds.upper!r})"
-        )
-    if bounds.upper - rho <= EPS_BOUND:
-        raise AdmissibilityError(
-            f"rho={rho!r} violates the upper bound 1; admissible open "
-            f"interval is ({bounds.lower!r}, {bounds.upper!r})"
-        )
-    return _joint_moment(p, rho)
-
-
 def q_to_rho(p: float, q: float) -> float:
-    """Inverse of :func:`rho_to_q`: rho = (q - p**2) / (p*(1-p))."""
+    """Inverse of :attr:`ModelConfig.q`: rho = (q - p**2) / (p*(1-p)).
+
+    Only q is checked, against (0, p); the max-ent fit, whose input is q,
+    checks this rho through :class:`ModelConfig`.
+    """
     _check_p(p)
     if not (0.0 < q < p) or not math.isfinite(q):
         raise AdmissibilityError(f"q={q!r} must lie strictly inside (0, p={p!r})")
@@ -121,7 +101,18 @@ class ModelConfig:
             raise AdmissibilityError(
                 f"n_credits={self.n_credits!r} must be an integer >= 2"
             )
-        rho_to_q(self.p, self.rho)
+        bounds = rho_bounds(self.p)
+        if not math.isfinite(self.rho):
+            raise AdmissibilityError(f"rho={self.rho!r} is not finite")
+        if self.rho - bounds.lower <= EPS_BOUND * abs(bounds.lower):
+            raise AdmissibilityError(
+                f"rho={self.rho!r} violates the lower bound max(-p/(1-p), -(1-p)/p) "
+                f"= {bounds.lower!r} at p={self.p!r}; admissible open interval is "
+                f"({bounds.lower!r}, {bounds.upper!r})")
+        if bounds.upper - self.rho <= EPS_BOUND:
+            raise AdmissibilityError(
+                f"rho={self.rho!r} violates the upper bound 1; admissible open "
+                f"interval is ({bounds.lower!r}, {bounds.upper!r})")
         rates = _rates(self.p, self.rho)
         if min(rates) <= 0.0:
             # Inside the rho margins this happens only where a product
@@ -135,8 +126,11 @@ class ModelConfig:
 
     @property
     def q(self) -> float:
-        """Joint default moment E[L0*Li]; it underflows to 0.0 at a tiny p."""
-        return _joint_moment(self.p, self.rho)
+        """Joint default moment E[L0*Li] = rho*p*(1-p) + p**2.
+
+        It underflows to 0.0 at a tiny p; no model computation reads it.
+        """
+        return self.rho * self.p * (1.0 - self.p) + self.p * self.p
 
 
 @dataclass(frozen=True)

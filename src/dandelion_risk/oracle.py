@@ -106,7 +106,7 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
     l0, k, _, l1, l2 = table
     pmf = np.bincount(k.astype(np.intp), weights=w, minlength=n + 1)
     return EnumerationReport(
-        moments=(w @ l0, w @ l1, w @ (l0 * l1), w @ (l1 * l2)),
+        moments=tuple(np.einsum("i,i->", w, x) for x in (l0, l1, l0 * l1, l1 * l2)),
         loss_pmf_bf=pmf,
         total_mass=math.fsum(w.tolist()),
     )
@@ -147,16 +147,17 @@ def maxent_sweep(theta, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """E_theta[t(x)], the covariance of t(x) and log Z(theta), from one state sweep.
 
     t(x) = (l0, sum(li), l0*sum(li)); log Z sums exp(theta . t(x)) over all
-    2^(n+1) states, and the moments are its analytic gradient.
+    2^(n+1) states, and the moments are its analytic gradient.  np.einsum,
+    not a BLAS product, forms E[t] and E[t t^T], so no BLAS thread count
+    changes their bits; the covariance is E[t t^T] - E[t] E[t]^T.
     """
     table, w, m = _state_weights(theta, n)
     total = w.sum()
     w /= total
     t = table[:3]
-    # One dot per statistic: t @ w sums in another order and moves the fit ~1e-12.
-    moments = np.array([w @ row for row in t])
-    mean = t @ w
-    return moments, (t * w) @ t.T - np.outer(mean, mean), float(m + np.log(total))
+    mean = np.einsum("ij,j->i", t, w)
+    cov = np.einsum("ij,kj->ik", t * w, t) - np.outer(mean, mean)
+    return mean, cov, float(m + np.log(total))
 
 
 @dataclass(frozen=True)

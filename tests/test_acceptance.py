@@ -28,7 +28,6 @@ from dandelion_risk import (
     maxent_sweep,
     peak_indices,
     rho_bounds,
-    rho_to_q,
     rho_noncentral,
     sample,
     scan_rho,
@@ -223,7 +222,7 @@ def test_criterion_07_mode_probability_shape():
 def test_criterion_08_maxent_fit_matches_closed_form():
     worst_param = 0.0
     for rho in (-0.5, 0.0, 0.26):
-        q = rho_to_q(0.4, rho) if rho != 0.0 else 0.16
+        q = ModelConfig(8, 0.4, rho).q if rho != 0.0 else 0.16
         fit = maxent_fit_small(0.4, q, 8)
         closed = calibrate(ModelConfig(8, 0.4, rho))
         worst_param = max(

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import errno
 import importlib.util
 import json
 import os
@@ -142,6 +143,26 @@ class TestPmfCommand:
                            "--output", str(tmp_path / "out.csv"))
         assert code == 3
         assert "cannot write" in err and str(sidecar) in err
+        # The rows were written before the sidecar failed; they are removed.
+        assert sorted(os.listdir(tmp_path)) == ["out.csv.manifest.json"]
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
+        def header_then_full(columns, extras):
+            yield ",".join(columns) + "\n"
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        target = tmp_path / "target.csv"
+        target.write_text("kept\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        with mock.patch.object(cli, "_csv_chunks", header_then_full):
+            for name in ("out.csv", "link.csv"):
+                code, _, err = run(capsys, "pmf", "--p", "0.4", "--rho", "0.26",
+                                   "--n", "10", "--output", str(tmp_path / name))
+                assert code == 3
+                assert "No space left on device" in err
+        # The regular file is removed; a symlink is never removed.
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+        assert (tmp_path / "link.csv").is_symlink()
 
     def test_csv_rows_across_blocks(self, capsys):
         n = MULTI_BLOCK_ROWS - 1

@@ -18,7 +18,6 @@ from dandelion_risk import (
     conditional_probs,
     q_to_rho,
     rho_bounds,
-    rho_to_q,
 )
 
 from conftest import lower_bound, rho_at
@@ -51,9 +50,9 @@ class TestRhoBounds:
 
 class TestRhoQConversion:
     def test_rho_to_q_examples(self):
-        assert rho_to_q(0.4, 0.0) == pytest.approx(0.16, abs=1e-15)
-        assert rho_to_q(0.4, -0.5) == pytest.approx(0.04, abs=1e-15)
-        assert rho_to_q(0.4, 0.26) == pytest.approx(0.2224, abs=1e-15)
+        assert ModelConfig(2, 0.4, 0.0).q == pytest.approx(0.16, abs=1e-15)
+        assert ModelConfig(2, 0.4, -0.5).q == pytest.approx(0.04, abs=1e-15)
+        assert ModelConfig(2, 0.4, 0.26).q == pytest.approx(0.2224, abs=1e-15)
 
     def test_q_to_rho_examples(self):
         assert q_to_rho(0.4, 0.16) == pytest.approx(0.0, abs=1e-15)
@@ -62,9 +61,9 @@ class TestRhoQConversion:
 
     def test_rejects_rho_outside_bounds(self):
         with pytest.raises(AdmissibilityError):
-            rho_to_q(0.4, -0.7)
+            ModelConfig(2, 0.4, -0.7)
         with pytest.raises(AdmissibilityError):
-            rho_to_q(0.4, 1.0)
+            ModelConfig(2, 0.4, 1.0)
 
     def test_rejects_q_outside_open_interval(self):
         for q in (0.0, 0.4, -0.1, 0.5):
@@ -74,7 +73,7 @@ class TestRhoQConversion:
     @given(p=st.floats(0.02, 0.98), t=st.floats(0.01, 0.99))
     def test_round_trip(self, p, t):
         rho = rho_at(p, t)
-        assert q_to_rho(p, rho_to_q(p, rho)) == pytest.approx(rho, abs=1e-12)
+        assert q_to_rho(p, ModelConfig(2, p, rho).q) == pytest.approx(rho, abs=1e-12)
 
 
 class TestModelConfig:

@@ -396,13 +396,20 @@ class TestLossMoments:
 
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # A BLAS dot splits sums this long across its threads; these three
-        # differed in their last bits between 1 and 2 OpenBLAS threads.
+        # pmfs' moments, and the N = 16 enumeration and max-ent sweep over
+        # 2^17 states, differed in their last bits between 1 and 2 OpenBLAS
+        # threads when they were summed by BLAS products.
         code = (
             "from dandelion_risk import ModelConfig, loss_moments, loss_pmf\n"
+            "from dandelion_risk import enumerate_model, maxent_sweep\n"
             "for cfg in [(104393, 0.7745026313708422, 0.7122627087235156),\n"
             "            (112758, 0.3072212420793274, -0.30122691775681165),\n"
             "            (28149, 0.09388193965445124, 0.9440012304554601)]:\n"
             "    print(repr(loss_moments(loss_pmf(ModelConfig(*cfg)))))\n"
+            "rep = enumerate_model(ModelConfig(16, 0.37, -0.21))\n"
+            "print(repr(rep.moments), repr(rep.total_mass))\n"
+            "moments, cov, _ = maxent_sweep((0.3, -0.5, 0.2), 16)\n"
+            "print(moments.tobytes().hex(), cov.tobytes().hex())\n"
         )
         src = os.path.dirname(os.path.dirname(distribution.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -413,7 +420,7 @@ class TestLossMoments:
                                 "OPENBLAS_NUM_THREADS": threads}).stdout
             for threads in ("1", "2")
         ]
-        assert outputs[0].count("\n") == 3
+        assert outputs[0].count("\n") == 5
         assert outputs[0] == outputs[1]
 
     def test_pmf_without_a_mass_above_the_floor_is_refused(self):

@@ -14,7 +14,6 @@ from dandelion_risk import (
     maxent_fit_small,
     maxent_sweep,
     rho_noncentral,
-    rho_to_q,
     sample,
 )
 from dandelion_risk import oracle
@@ -155,7 +154,7 @@ class TestSample:
 class TestMaxEntFit:
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.26])
     def test_recovers_closed_form(self, rho):
-        q = rho_to_q(0.4, rho) if rho != 0.0 else 0.16
+        q = ModelConfig(8, 0.4, rho).q if rho != 0.0 else 0.16
         fit = maxent_fit_small(0.4, q, 8)
         closed = calibrate(ModelConfig(n_credits=8, p=0.4, rho=rho))
         assert fit.matched_params.alpha == pytest.approx(closed.alpha, abs=1e-6)

@@ -35,8 +35,9 @@ one log-binomial table of N+1 floats.  The log masses start as a column
 turned into the branch terms in place; the window gets one temporary of its
 own size, freed before the table is built.  The table is added into the
 column and freed before the linear masses are made.  ``metrics.scan_rho``
-builds the table once, read-only, and adds it into each point's column, so
-a scan holds one array more.
+builds the table and a ramp 0..N once, read-only; each point's column is
+written from the ramp into a fresh array and the table is added into it, so
+a scan holds two arrays more (16 MB at N = 10**6).
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ class LossPmf:
     outside it is 0.0, and inside, exp also gives 0.0 up to -745.13.  The
     read-only `mass` is exp(log_mass) elementwise.  Masses below ~1e-308
     underflow to 0.0 in it, which happens in the far tails and, very close to
-    the admissible correlation boundary, between the two branches.
+    the admissible correlation boundary, between the two branches.  `total`
+    is the sum of the span's masses, mass[a:b].sum(), which the moments
+    divide by.
 
     A log_mass whose masses sum below 3/4 or above 4/3 raises ValueError; the
     kernel's sum is within ~1e-9 of 1 at N = 10**6.  At 3/4, any order of
@@ -128,6 +131,7 @@ class LossPmf:
     log_mass: np.ndarray
     span: tuple[int, int] = field(init=False, repr=False, compare=False)
     mass: np.ndarray = field(init=False, repr=False, compare=False)
+    total: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lm = self.log_mass
@@ -148,18 +152,22 @@ class LossPmf:
         bits = above.tobytes()  # bytes.find and bytes.rfind are fast scans
         # With no entry above the floor, (a, b) = (-1, 0) slices nothing.
         a, b = bits.find(1), bits.rfind(1) + 1
+        # A gap at or below the floor between the branches is masked out of
+        # exp, ~20 ns each against ~1 ns; the mask has a fixed cost of its
+        # own, so a span with no such gap takes the plain exp.
+        where = above[a:b] if bits.find(0, a, b) >= 0 else True
         del bits  # so that it does not coexist with `mass`
         mass = np.zeros(lm.size)
-        # The mask skips exp at or below the floor, ~20 ns each against ~1 ns.
-        np.exp(lm[a:b], out=mass[a:b], where=above[a:b])
-        total = mass[a:b].sum()
+        np.exp(lm[a:b], out=mass[a:b], where=where)
+        total = float(mass[a:b].sum())
         if not 0.75 <= total <= 4 / 3:
             side = "below 3/4" if total < 0.75 else "above 4/3"
-            raise ValueError(f"the masses sum to {float(total)!r}, {side}")
+            raise ValueError(f"the masses sum to {total!r}, {side}")
         mass.flags.writeable = False
         object.__setattr__(self, "log_mass", lm)
         object.__setattr__(self, "span", (a, b))
         object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "total", total)
 
     @property
     def n(self) -> int:
@@ -214,24 +222,31 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     return _loss_pmf(cfg)
 
 
-def _loss_pmf(cfg: ModelConfig, table: np.ndarray | None = None) -> LossPmf:
+def _loss_pmf(cfg: ModelConfig, table: np.ndarray | None = None,
+              ramp: np.ndarray | None = None) -> LossPmf:
     """`loss_pmf`, adding a log C(N, l) table shared across calls (a scan's)
-    into the branch column, or a fresh one when table is None."""
+    into the branch column, or a fresh one when table is None.  A shared
+    read-only ramp 0..N, given with the table, is read for l; without it the
+    column is its own ramp, turned into the branch terms in place."""
     n = cfg.n_credits
     c0, slope0, c1, slope1 = _branch_lines(cfg)
     lo, hi = _branch_window(c0, slope0, c1, slope1, n)
-    # Column l becomes the branch terms in place.  Past the window, on the
-    # far side (where slope, or gap if slope = 0, makes the gap large), the
-    # larger is y = c1 + slope1*l; on the near side x = c0 + slope0*l.
-    col = np.arange(n + 1, dtype=np.float64)
-    y = col[lo:hi] * slope1
+    # Column l gets the branch terms.  Past the window, on the far side
+    # (where slope, or gap if slope = 0, makes the gap large), the larger is
+    # y = c1 + slope1*l; on the near side x = c0 + slope0*l.
+    if ramp is None:
+        col = ramp = np.arange(n + 1, dtype=np.float64)
+    else:
+        col = np.empty(n + 1)
+    y = ramp[lo:hi] * slope1
     y += c1
     grows = ((slope1 - slope0) or (c1 - c0)) > 0.0
-    near, far = (col[:hi], col[hi:]) if grows else (col[lo:], col[:lo])
-    near *= slope0
-    near += c0
-    far *= slope1
-    far += c1
+    near, far = ((slice(0, hi), slice(hi, None)) if grows
+                 else (slice(lo, None), slice(0, lo)))
+    np.multiply(ramp[near], slope0, out=col[near])
+    col[near] += c0
+    np.multiply(ramp[far], slope1, out=col[far])
+    col[far] += c1
     window = col[lo:hi]
     np.logaddexp(window, y, out=window)
     del y
@@ -258,20 +273,19 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     """Mean and variance of the loss count, computed from the pmf.
 
     For a calibrated model these equal N*p and N*p*(1-p)*(1 + (N-1)*rho**2).
-    Both passes read the span alone and divide by its mass sum, and the
-    variance is centred on the computed mean, so neither the sum's rounding
-    nor E[L]**2 is carried into it.
+    Both passes read the span alone and divide by its mass sum, `pmf.total`,
+    and the variance is centred on the computed mean, so neither the sum's
+    rounding nor E[L]**2 is carried into it.
     """
     a, b = pmf.span
     mass = pmf.mass[a:b]
-    total = mass.sum()
     l = np.arange(a, b, dtype=np.float64)
     # einsum, not the BLAS dot behind `@`: above 10**4 entries a threaded dot
     # splits the sum, so its bits would depend on the BLAS thread count.
-    mean = float(np.einsum("i,i->", l, mass) / total)
+    mean = float(np.einsum("i,i->", l, mass) / pmf.total)
     l -= mean
     l *= l
-    return mean, float(np.einsum("i,i->", l, mass) / total)
+    return mean, float(np.einsum("i,i->", l, mass) / pmf.total)
 
 
 def peak_indices(mass: np.ndarray) -> list[int]:

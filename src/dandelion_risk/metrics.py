@@ -62,6 +62,31 @@ class ScanResult:
         return np.array([r.mode for r in self.reports])
 
 
+# The first block of a VaR tail sum; each later block is twice the one before.
+_FIRST_BLOCK = 1024
+
+
+def _crossing(mass: np.ndarray, target: float, side: str) -> int:
+    """mass.cumsum().searchsorted(target, side), summing no further than needed.
+
+    The sum runs in blocks, the first _FIRST_BLOCK entries long and each
+    later one twice the one before, and stops at the block whose sums cross
+    the target.  A later block's sums start from the last sum before it,
+    prepended to its masses, so every partial sum is the same sequential
+    addition as in one cumsum over the whole array.
+    """
+    start, size = 0, _FIRST_BLOCK
+    sums = mass[:size].cumsum()  # sums[i] sums mass[:start + i + 1]
+    while True:
+        k = int(sums.searchsorted(target, side=side))
+        stop = start + len(sums)
+        if k < len(sums) or stop == len(mass):
+            return start + k
+        # The carried sum has not crossed, so k >= 1 in the next block.
+        start, size = stop - 1, 2 * size
+        sums = np.concatenate((sums[-1:], mass[stop:stop + size])).cumsum()
+
+
 def value_at_risk(pmf: LossPmf, level: float) -> int:
     """Smallest loss l with P(L <= l) >= level (lower quantile).
 
@@ -69,7 +94,10 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     P(L > l) <= 1 - level (exact there), summing masses from the right, so
     levels such as 1 - 1e-15 are decided.  At or below 0.5, masses are summed
     from the left, capped at the answer for 0.5 to keep VaR monotone in level.
-    Both sums are within a relative delta = 1e-14*(N+1) + 1e-12 of the exact
+    Each sum stops at the block of entries where it crosses (see
+    `_crossing`), in the same order of addition as a full cumulative sum, so
+    it reads only the tail it needs and its error budget stands: both sums
+    are within a relative delta = 1e-14*(N+1) + 1e-12 of the exact
     tails (60-digit mpmath, N <= 10**4, rho up to 1e-6 from either bound), so
     l is exact unless an exact tail lies within delta of 1 - level (of level
     at or below 0.5); then l may be any loss where one does.
@@ -77,14 +105,14 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     if not (0.0 < level < 1.0):
         raise AdmissibilityError(f"confidence level={level!r} must be in (0, 1)")
     # Masses outside the span are 0.0, so the sums over it are bit for bit
-    # those over the whole support.  tail[k] = P(L >= b - 1 - k); the last
-    # tail, the total mass, exceeds 1/2 (see LossPmf), so k < b - a.
+    # those over the whole support.  The right sum crosses at k, where
+    # P(L >= b - 1 - k) first exceeds 1 - max(level, 1/2); the total mass
+    # exceeds 1/2 (see LossPmf), so k < b - a.
     a, b = pmf.span
     mass = pmf.mass[a:b]
-    tail = mass[::-1].cumsum()
-    var = b - 1 - int(tail.searchsorted(1.0 - max(level, 0.5), side="right"))
+    var = b - 1 - _crossing(mass[::-1], 1.0 - max(level, 0.5), "right")
     if level <= 0.5:
-        var = min(a + int(mass.cumsum().searchsorted(level, side="left")), var)
+        var = min(a + _crossing(mass, level, "left"), var)
     return var
 
 
@@ -126,10 +154,10 @@ def scan_rho(
     independently and results are merged in grid order, so the output is
     deterministic for identical inputs.  Every report is byte for byte
     risk_report(loss_pmf(cfg), level) at its point: the scan builds the
-    log C(N, l) table once, read-only, and adds it into each point's branch
-    column, so it holds one more array of N+1 floats than a point query does
-    (8 MB at N = 10**6).  The points are even over that span,
-    so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
+    log C(N, l) table and the ramp 0..N once, read-only, writes each point's
+    branch column from the ramp and adds the table into it, so it holds two
+    more arrays of N+1 floats than a point query does (16 MB at N = 10**6).
+    The points are even over that span, so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
     2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
     |lower|, none (margin 1e-6 gives 1).
     """
@@ -147,8 +175,9 @@ def scan_rho(
     # Every config is validated, n included, before the table is sized by n.
     cfgs = [ModelConfig(n_credits=n, p=p, rho=float(r)) for r in grid]
     table = _log_binom_table(n)
-    table.flags.writeable = False
-    reports = tuple(risk_report(_loss_pmf(cfg, table), level) for cfg in cfgs)
+    ramp = np.arange(n + 1, dtype=np.float64)
+    table.flags.writeable = ramp.flags.writeable = False
+    reports = tuple(risk_report(_loss_pmf(cfg, table, ramp), level) for cfg in cfgs)
     modes = np.array([r.mode for r in reports])
     diffs = np.diff(modes)
     k = int(np.argmax(np.abs(diffs)))

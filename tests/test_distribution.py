@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dandelion_risk import (
+    GridSpec,
     LossPmf,
     ModelConfig,
     enumerate_model,
@@ -22,6 +23,7 @@ from dandelion_risk import (
     peak_indices,
     risk_report,
     rho_noncentral,
+    scan_rho,
 )
 from dandelion_risk import distribution
 from dandelion_risk.distribution import (
@@ -234,6 +236,15 @@ class TestMemoryBudget:
         # Building the pmf computes `mass`; the trace pays for it.
         log_mass = loss_pmf(self.CFG).log_mass
         assert traced_peak(lambda: risk_report(LossPmf(log_mass))) <= self.BUDGET
+
+
+def test_scan_memory_budget():
+    # A scan holds the shared log-binomial table and ramp 0..N besides a
+    # point query's column, `mass` and the moments' scratch array: 5.0
+    # arrays of 8(N+1) bytes, 4.0 before the ramp was shared.
+    n = TestMemoryBudget.N
+    scan_rho(0.47, n, GridSpec(count=3))  # grows the shared log k! prefix
+    assert traced_peak(scan_rho, 0.47, n, GridSpec(count=3)) <= 5.25 * 8 * (n + 1)
 
 
 class TestMemoryBudgetWholeWindow(TestMemoryBudget):

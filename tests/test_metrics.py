@@ -22,6 +22,7 @@ from dandelion_risk import (
     value_at_risk,
 )
 from dandelion_risk.distribution import EXP_FLOOR
+from dandelion_risk.metrics import _FIRST_BLOCK
 
 from conftest import lower_bound, oracle_peak_indices, rho_at
 
@@ -330,6 +331,56 @@ class TestSpanReading:
         assert LossPmf(view).log_mass is not view
 
 
+def seam_indices(blocks: int) -> list[int]:
+    """The first and the last entry of each of the first `blocks` tail-sum
+    blocks, counted from where the sum starts: block i covers
+    [F*(2**(i-1) - 1), F*(2**i - 1)) for a first block of F entries."""
+    ends = [_FIRST_BLOCK * (2**i - 1) for i in range(blocks + 1)]
+    return [k for start, stop in zip(ends, ends[1:]) for k in (start, stop - 1)]
+
+
+class TestTailSumBlocks:
+    """VaR sums each tail in blocks of doubling length and stops at the block
+    that crosses; it must equal one cumulative sum over the whole support
+    wherever the crossing falls, the seams between blocks included.
+
+    The span holds 8000 entries of mass 0.2 in all at each end and 100
+    entries of mass 0.6 between them, so either tail sum can cross anywhere
+    in the first three blocks, all within its 8000 entries; a level halfway between two adjacent cumulative sums puts the
+    crossing on a chosen entry.
+    """
+
+    SIDE = 8000
+
+    @pytest.fixture(scope="class")
+    def pmf(self):
+        rng = np.random.default_rng(2024)
+        parts = [rng.uniform(0.5, 1.5, size) for size in (self.SIDE, 100, self.SIDE)]
+        weights = [w * share / w.sum() for w, share in zip(parts, (0.2, 0.6, 0.2))]
+        pad = np.full(3, -800.0)
+        return LossPmf(np.concatenate((pad, *map(np.log, weights), pad)))
+
+    @pytest.mark.parametrize("k", seam_indices(3))
+    def test_right_sum_crossing_on_a_seam(self, pmf, k):
+        a, b = pmf.span
+        tail = np.cumsum(pmf.mass[a:b][::-1])
+        level = 1.0 - (tail[k] + (tail[k - 1] if k else 0.0)) / 2
+        assert level > 0.5
+        var = full_support_reference(pmf.mass, level)[0]
+        assert var == b - 1 - k
+        assert value_at_risk(pmf, level) == var
+
+    @pytest.mark.parametrize("k", seam_indices(3))
+    def test_left_sum_crossing_on_a_seam(self, pmf, k):
+        a, b = pmf.span
+        cdf = np.cumsum(pmf.mass[a:b])
+        level = (cdf[k] + (cdf[k - 1] if k else 0.0)) / 2
+        assert level <= 0.5
+        var = full_support_reference(pmf.mass, level)[0]
+        assert var == a + k
+        assert value_at_risk(pmf, level) == var
+
+
 class TestScanRho:
     def test_grid_spec_validation(self):
         with pytest.raises(AdmissibilityError):
@@ -405,13 +456,18 @@ class TestScanRho:
             rep = risk_report(loss_pmf(ModelConfig(100, 0.4, rho)))
             assert len(rep.peaks) == 2
 
-    @pytest.mark.parametrize("n", [2, 100, 2000, 10**4])
-    @pytest.mark.parametrize("p", [0.1, 0.5])
-    def test_reports_equal_single_point_reports(self, p, n):
-        # The scan shares one log-binomial table across its points but adds
-        # the same column into it, so every report, peaks and moments
-        # included, matches the single-point path repr for repr.
-        res = scan_rho(p, n, GridSpec(count=51))
+    @pytest.mark.parametrize("p, n, count", [
+        *(pytest.param(p, n, 51, id=f"{p}-{n}")
+          for p in (0.1, 0.5) for n in (2, 100, 2000, 10**4)),
+        # Spans with masses below the floor between the branches, tails
+        # summed over several blocks.
+        pytest.param(0.634, 10**5, 5, id="0.634-100000"),
+    ])
+    def test_reports_equal_single_point_reports(self, p, n, count):
+        # The scan shares one log-binomial table and one ramp 0..N across its
+        # points but writes and adds the same column, so every report, peaks
+        # and moments included, matches the single-point path repr for repr.
+        res = scan_rho(p, n, GridSpec(count=count))
         for rho, report in zip(res.rho_grid, res.reports, strict=True):
             cfg = ModelConfig(n, p, float(rho))
             assert repr(report) == repr(risk_report(loss_pmf(cfg), 0.99))

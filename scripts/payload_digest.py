@@ -39,6 +39,17 @@ MODEL = ("--p", "0.4", "--rho", "-0.26", "--n", "100")
 SAMPLE = ("sample", *MODEL, "--count", "1000", "--seed", "1")
 
 # (name, expected exit code, CLI arguments); None runs the figure script.
+# The extreme inputs: a subnormal p, where 1/p overflows, p near 1 with rho
+# near its lower bound, in the joined --rho=-x form that an exponent-form
+# negative needs, and rho = 0 at p = 1e-12, within 1e-10 of a lower bound of
+# -1e-12, and at p = 1e-200, where q = p**2 underflows to 0.0.  The N = 10**6
+# points read their risk metrics from the span of the pmf that holds every
+# non-zero mass; at rho = 0.2 the log-sum-exp window is a small slice of the
+# support, and at rho = 0 it is the whole support, with a temporary of N+1
+# floats.  At p = 0.634, rho = 0.690218, N = 99858 the span holds a gap of
+# masses below the floor between the two branches.  At p = 0.2,
+# rho = 1 - 5e-7, N = 1000 every branch term in the gap-800 window is below
+# -1/2, but the one at l = 0 is -0.22, so the window is not narrowed.
 PAYLOADS = [
     ("figures", 0, None),
     ("calibrate", 0, ("calibrate", *MODEL)),
@@ -52,6 +63,7 @@ PAYLOADS = [
     ("metrics_p1e-200", 0, ("metrics", "--p", "1e-200", "--rho", "0", "--n", "10")),
     ("pmf_csv", 0, ("pmf", *MODEL, *CSV)),
     ("pmf_json", 0, ("pmf", *MODEL, *JSON)),
+    ("pmf_near_upper_csv", 0, ("pmf", "--p", "0.2", "--rho", "0.9999995", "--n", "1000", *CSV)),
     ("scan_csv", 0, ("scan", "--p", "0.4", "--n", "100", *CSV)),
     ("scan_json", 0, ("scan", "--p", "0.4", "--n", "100", *JSON)),
     ("sample_csv", 0, (*SAMPLE, *CSV)),

@@ -15,15 +15,11 @@ No partition function enters it.  The scipy expansion of that mixture in
 The kernel skips transcendental work whose result is already known in double
 precision, so its output is bit-for-bit that of the full-array formulas:
 
-* The branch gap (c1 - c0) + (logit r1 - logit r0)*l is linear in l.
-  Where it exceeds ``LSE_GAP`` = 800 in magnitude, exp(-gap) underflows to
-  exactly 0.0 and ``np.logaddexp`` returns the larger branch, so it runs
-  only on the one window of l (about 1600/|logit r1 - logit r0| wide) where
-  the gap is smaller.  Where every branch term in that window is at most
-  -1/2 and the lines' rounding is well below 1, the window shrinks to a gap
-  of ``LSE_GAP_NARROW`` = 40, about 20 times narrower: past it the addend
-  log1p(exp(-gap)) is below half an ulp of the larger term (see
-  :func:`loss_pmf`).
+* The branch gap (c1 - c0) + (logit r1 - logit r0)*l is linear in l, and
+  past a gap of ``LSE_GAP`` = 800, or of ``LSE_GAP_NARROW`` = 40 where
+  every branch term on the support is at most -1/2, ``np.logaddexp``
+  returns the larger branch bit for bit; so it runs only on the one window
+  of l where the gap is smaller (:func:`_branch_window` states the rule).
 * ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
   the linear view exponentiates only its span: the first to the last log
   mass above it.  Outside the span every mass is 0.0, so VaR, mode and peaks
@@ -49,11 +45,9 @@ import numpy as np
 
 from .core_model import ModelConfig, _branch_lines
 
-# np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)), and exp(-d) is
-# exactly 0.0 for d > 745.14; past this gap it returns the larger term.
+# np.logaddexp(x, y) is max(x, y) + log1p(exp(-|x - y|)); past these gaps
+# it returns the larger term (the rule for each is in _branch_window).
 LSE_GAP = 800.0
-# Past a computed gap of 39, exp(-d) < 2**-54, which log1p returns unchanged
-# and which rounds away against a larger term of magnitude >= 1/2.
 LSE_GAP_NARROW = 40.0
 # exp(t) is exactly 0.0 for t < -745.14.
 EXP_FLOOR = -746.0
@@ -178,23 +172,26 @@ def _branch_window(c0: float, slope0: float, c1: float, slope1: float,
                    n: int) -> tuple[int, int]:
     """Slice [lo, hi) of {0..n} where `loss_pmf` runs np.logaddexp.
 
-    It is the LSE_GAP window, narrowed to the LSE_GAP_NARROW one when the
-    largest branch term M in the former is at most -1/2 and the rounding
-    slack 8*eps*(|c0| + |c1| + N*(|slope0| + |slope1|)) of the lines is
-    below 1.  The lines are evaluated at both ends as the kernel does,
-    l*slope first, then + c; computed lines are monotone in l, so the four
-    values bound every term of the window.
+    It is the window where the branch gap is below LSE_GAP, or below
+    LSE_GAP_NARROW when every branch term on the support is at most -1/2
+    and the rounding slack 8*eps*(|c0| + |c1| + N*(|slope0| + |slope1|)) of
+    the lines is below 1.  The lines are evaluated at l = 0 and l = N as the
+    kernel does, l*slope first, then + c; computed lines are monotone in l,
+    so the four values bound every term on the support.
+
+    Both limits give the same bytes.  Past a gap of 800, exp(-gap) is
+    exactly 0.0.  Past a computed gap of 39, exp(-gap) < 2**-54, which
+    log1p returns unchanged and which is below half an ulp of a larger term
+    of magnitude >= 1/2, so np.logaddexp returns the larger term bit for
+    bit.  The guard on the terms is needed: where cancellation in
+    c1 + slope1*N leaves the larger term at exactly 0.0, logaddexp returns
+    the addend itself (2.05e-199 at p = 1 - 2.4e-15, rho = 0.0367,
+    N = 11348), not 0.
     """
-    gap, slope = c1 - c0, slope1 - slope0
-    lo, hi = _logaddexp_window(gap, slope, n, LSE_GAP)
-    if lo == hi:
-        return lo, hi
-    top = max(lo * slope0 + c0, (hi - 1) * slope0 + c0,
-              lo * slope1 + c1, (hi - 1) * slope1 + c1)
+    top = max(c0, n * slope0 + c0, c1, n * slope1 + c1)
     slack = 8 * math.ulp(1.0) * (abs(c0) + abs(c1) + n * (abs(slope0) + abs(slope1)))
-    if top <= -0.5 and slack < 1.0:
-        return _logaddexp_window(gap, slope, n, LSE_GAP_NARROW)
-    return lo, hi
+    limit = LSE_GAP_NARROW if top <= -0.5 and slack < 1.0 else LSE_GAP
+    return _logaddexp_window(c1 - c0, slope1 - slope0, n, limit)
 
 
 def loss_pmf(cfg: ModelConfig) -> LossPmf:
@@ -203,21 +200,10 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     log_mass[l] = log C(N,l) + logaddexp(c0 + l*logit r0, c1 + l*logit r1),
     with the lines of :func:`core_model._branch_lines`.
 
-    logaddexp runs only on the window of l where the branch gap is below
-    LSE_GAP = 800; elsewhere it would return the larger branch exactly, so
-    that is taken directly.  Near rho = 0, where the two rates nearly agree,
-    the window is the whole support.
-
-    Where every branch term in that window is at most -1/2 and the rounding
-    slack of the lines is below 1, the window is the one where the gap is
-    below LSE_GAP_NARROW = 40 instead, with the same bytes.  Outside it the
-    computed gap |x - y| is at least 39, so exp(-|x - y|) < 2**-54; log1p
-    returns an argument that small unchanged, and it is below half an ulp of
-    a larger term of magnitude >= 1/2, so np.logaddexp returns the larger
-    term bit for bit.  The guard is needed: where cancellation in
-    c1 + slope1*N leaves the larger term at exactly 0.0, logaddexp returns
-    the addend itself (2.05e-199 at p = 1 - 2.4e-15, rho = 0.0367,
-    N = 11348), not 0.
+    logaddexp runs only on the window of :func:`_branch_window`; elsewhere
+    it would return the larger branch exactly, so that is taken directly.
+    Near rho = 0, where the two rates nearly agree, the window is the whole
+    support.
     """
     return _loss_pmf(cfg)
 

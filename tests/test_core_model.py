@@ -64,6 +64,13 @@ class TestRhoQConversion:
             ModelConfig(2, 0.4, -0.7)
         with pytest.raises(AdmissibilityError):
             ModelConfig(2, 0.4, 1.0)
+        # nan passes every bound comparison, so only the finiteness check
+        # refuses it.
+        with pytest.raises(AdmissibilityError, match="is not finite"):
+            ModelConfig(10, 0.4, math.nan)
+        for rho in (math.inf, -math.inf):
+            with pytest.raises(AdmissibilityError):
+                ModelConfig(10, 0.4, rho)
 
     def test_rejects_q_outside_open_interval(self):
         for q in (0.0, 0.4, -0.1, 0.5):

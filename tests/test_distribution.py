@@ -132,6 +132,9 @@ ZERO_TOP_TERM = [
     ModelConfig(350, 0.9999999999999959, 0.750542720273491),
 ]
 
+# rho near its upper bound, where the gap-800 window is not narrowed.
+NEAR_UPPER = ModelConfig(1000, 0.2, 1 - 5e-7)
+
 
 class TestSkippedWork:
     """The kernel skips logaddexp and exp where their bits are known; the
@@ -141,6 +144,7 @@ class TestSkippedWork:
     @given(cfg=kernel_configs())
     @example(cfg=ZERO_TOP_TERM[0])
     @example(cfg=ZERO_TOP_TERM[1])
+    @example(cfg=NEAR_UPPER)
     def test_bytes_equal_full_formulas(self, cfg):
         log_mass, mass = oracle_loss_pmf_full(cfg)
         pmf = loss_pmf(cfg)
@@ -192,12 +196,15 @@ class TestSkippedWork:
         (ModelConfig(10**4, 0.4, 0.3), LSE_GAP_NARROW),
         (ModelConfig(10**4, 0.05, -0.05), LSE_GAP_NARROW),
         (ModelConfig(100, 0.4, -0.26), LSE_GAP_NARROW),
-        # The largest branch term of the wide window is -0.511 here, so it is
+        # The largest branch term on the support is -0.511 here, so it is
         # narrowed; in the next two it is -0.260 and -0.210, above -1/2.
         (ModelConfig(100, 0.01, 0.5), LSE_GAP_NARROW),
         (ModelConfig(100, 0.01, 0.75), LSE_GAP),
         (ModelConfig(100, 0.99, 0.8), LSE_GAP),
         *((cfg, LSE_GAP) for cfg in ZERO_TOP_TERM),
+        # Every term of the gap-800 window (452, 504) is below -1/2, but the
+        # largest on the support is -0.223, at l = 0, so it is not narrowed.
+        (NEAR_UPPER, LSE_GAP),
     ])
     def test_narrow_window_only_where_exact(self, cfg, limit):
         c0, slope0, c1, slope1 = _branch_lines(cfg)

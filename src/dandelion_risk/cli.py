@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -35,9 +36,11 @@ OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
 # CSV rows and JSON column values are formatted and written this many at a
 # time, so the memory the writer holds does not grow with the row count.  A
-# CSV block's byte matrix takes 25 bytes per float cell and at most 21 per
-# int64 cell: ~4 MB for the pmf's three columns.
-CSV_BLOCK_ROWS = 65536
+# CSV block's byte matrix takes at most 43 bytes per float cell and 21 per
+# int64 cell, ~1.6 MB for the pmf's three columns, and each uint64 temporary
+# of the float kernel 128 KB.  Consuming the CSV of a 10**6-row pmf peaked at
+# 5.4 MB traced with 16384-row blocks; 65536 took 20.5 MB and was slower.
+CSV_BLOCK_ROWS = 16384
 
 # Parsed attributes that are not run parameters: the subcommand and its
 # handler, where the output goes, and the seed, a top-level manifest key.
@@ -51,34 +54,234 @@ def _resolve_output(path: str) -> str:
     return path
 
 
+# The CSV writer's arithmetic is integer only, mostly uint64.  Every uint64
+# constant is an np.uint64 scalar: numpy 1.x turns a uint64 array combined
+# with a Python int into float64.
+_TEN = np.uint64(10)
+_POW10 = np.array([10**j for j in range(20)], np.uint64)
+_M32 = np.uint64(2**32 - 1)
+_M63 = np.uint64(2**63 - 1)
+# The smallest and largest power of ten 10^e whose multiplier a float64 asks
+# for: e = -k with k = floor(log10(2^q)), q in -1074..971.
+_G_MIN, _G_MAX = -292, 324
+
+
+def _ndigits(mag: np.ndarray) -> np.ndarray:
+    """The number of decimal digits of each uint64, 1 for zero."""
+    return np.searchsorted(_POW10[1:], mag, "right") + 1
+
+
+def _put_digits(field: np.ndarray, mag: np.ndarray, least) -> None:
+    """Write each uint64 `mag` in decimal ASCII, right-aligned in the columns
+    of the uint8 matrix `field`, with NULs left of its digits.
+
+    `least` digits are written even when they are leading zeros: an int, or
+    one count per row.  `mag` must be below 10 ** (number of columns).
+    """
+    width = field.shape[1]
+    floor = least.min() if np.ndim(least) else least
+    ten = _TEN
+    for j in range(width):
+        if j == max(width - 9, 0):
+            # Below 10**9 from here on, and uint32 arithmetic is faster.
+            mag, ten = mag.astype(np.uint32), np.uint32(10)
+        # Division by a scalar takes numpy's fast path; np.divmod has none.
+        rest = mag // ten
+        char = (mag - rest * ten).astype(np.uint8)
+        char += ord("0")
+        if j >= floor:
+            char *= (least > j) if np.ndim(least) else (mag != 0)
+        field[:, width - 1 - j] = char
+        mag = rest
+
+
 def _int_field(col: np.ndarray) -> np.ndarray:
     """Decimal digits of an integer column, one NUL-padded row per cell."""
     neg = col < 0
     # Negated in uint64, so the int64 minimum keeps its magnitude 2**63.
     mag = col.astype(np.uint64)
     mag = np.where(neg, -mag, mag)
-    width = len(str(int(mag.max())))
+    width = _ndigits(mag.max())
     field = np.zeros((len(col), width + 1), np.uint8)
     field[neg, 0] = ord("-")
-    rest, digit = np.divmod(mag, 10)
-    field[:, width] = digit + ord("0")
-    for j in range(width - 1, 0, -1):
-        rest, digit = np.divmod(rest, 10)
-        # A leading zero is padding; the last digit is kept even when zero.
-        field[:, j] = np.where(rest | digit, digit + ord("0"), 0)
+    _put_digits(field[:, 1:], mag, 1)
     return field
 
 
-def _float_field(col: np.ndarray) -> np.ndarray:
-    """Python's repr of each float, one NUL-padded row of 24 bytes per cell.
+@functools.cache
+def _pow10_multipliers() -> tuple:
+    """Schubfach's 126-bit multipliers g = floor(10^e 2^(125 - r)) + 1, with
+    r = floor(log2(10^e)), for e in _G_MIN.._G_MAX, and r itself.
 
-    24 characters is the longest float64 repr.  `+0.0` cells, most of a
-    wide pmf's `mass` column, take the constant and skip `repr`.
+    g is returned as the 32-bit halves of its top and bottom 63 bits,
+    g = g1 2^63 + g0, which the 64x64-bit products take apart anyway.
     """
-    text = np.full(len(col), b"0.0", "S24")
-    other = np.flatnonzero((col != 0) | np.signbit(col))
-    text[other] = list(map(repr, col[other].tolist()))
-    return text.view(np.uint8).reshape(len(col), 24)
+    g1, g0, r = [], [], []
+    for e in range(_G_MIN, _G_MAX + 1):
+        p = 10**abs(e)
+        if e >= 0:
+            r.append(p.bit_length() - 1)
+            shift = 125 - r[-1]
+            g = (p << shift if shift >= 0 else p >> -shift) + 1
+        else:
+            # 10^-|e| lies strictly between two powers of two.
+            r.append(-p.bit_length())
+            g = (1 << (125 - r[-1])) // p + 1
+        g1.append(g >> 63)
+        g0.append(g & (2**63 - 1))
+    g1, g0 = np.array(g1, np.uint64), np.array(g0, np.uint64)
+    table = (g1 >> np.uint64(32), g1 & _M32, g0 >> np.uint64(32), g0 & _M32,
+             np.array(r, np.int64))
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
+def _mul_high(a_hi, a_lo, b_hi, b_lo):
+    """The high 64 bits of the 128-bit products a*b, from 32-bit halves, and
+    the words `mid` and `ll` that give the low 64 bits."""
+    ll = a_lo * b_lo
+    lh = a_lo * b_hi
+    hl = a_hi * b_lo
+    mid = (ll >> np.uint64(32)) + (lh & _M32) + (hl & _M32)
+    high = a_hi * b_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32))
+    return high + (mid >> np.uint64(32)), mid, ll
+
+
+def _round_to_odd(g, cp):
+    """rop(g cp 2^-127): the product's integer part, made odd if a fraction
+    was cut off, read from the bits down to 2^-63, as Schubfach's proof for
+    this table's scaling allows."""
+    g1_hi, g1_lo, g0_hi, g0_lo = g
+    cp_hi, cp_lo = cp >> np.uint64(32), cp & _M32
+    x1 = _mul_high(g0_hi, g0_lo, cp_hi, cp_lo)[0]
+    y1, mid, ll = _mul_high(g1_hi, g1_lo, cp_hi, cp_lo)
+    y0 = (mid << np.uint64(32)) | (ll & _M32)
+    z = (y0 >> np.uint64(1)) + x1
+    return (y1 + (z >> np.uint64(63))) | (((z & _M63) + _M63) >> np.uint64(63))
+
+
+def _shortest_decimal(col: np.ndarray) -> tuple:
+    """Digits d, with no trailing zero, and exponent e of each finite non-zero
+    float's shortest round-trip decimal d 10^e, the one nearest the float,
+    ties to even d.
+
+    Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), as
+    in the JDK's DoubleToDecimal without its two-digit minimum: of the
+    rounding interval's decimals at the scale 10^k, k = floor(log10(2^q)),
+    and at 10^(k+1), where at most one fits, take the coarser if one fits.
+    """
+    bits = col.view(np.uint64)
+    t = bits & np.uint64(2**52 - 1)
+    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+    c = np.where(biased > 0, t | np.uint64(2**52), t)
+    q = np.maximum(biased, 1) - 1075
+    # At a power of two above the smallest normal the spacing below the float
+    # is half the spacing above it.
+    irregular = (t == 0) & (biased > 1)
+    # floor(log10(2^q)) and floor(log10(3/4 2^q)), exact for |q| < 5.4e6.
+    k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
+    *g, r = (array[-k - _G_MIN] for array in _pow10_multipliers())
+    h = (q + r + 2).astype(np.uint64)
+    odd = c & np.uint64(1)
+    cb = c << np.uint64(2)
+    vb = _round_to_odd(g, cb << h)
+    # An odd significand's rounding interval excludes its ends.
+    vbl = _round_to_odd(g, (cb - np.uint64(2) + irregular.astype(np.uint64)) << h) + odd
+    vbr = _round_to_odd(g, (cb + np.uint64(2)) << h) - odd
+    s = vb >> np.uint64(2)
+    s10 = s // _TEN
+    up = vbl <= s10 * np.uint64(40)
+    coarse = up != (s10 * np.uint64(40) + np.uint64(40) <= vbr)
+    lower_in = vbl <= s << np.uint64(2)
+    upper_in = (s << np.uint64(2)) + np.uint64(4) <= vbr
+    mid = (s << np.uint64(2)) + np.uint64(2)
+    nearer_lower = (vb < mid) | ((vb == mid) & ((s & np.uint64(1)) == 0))
+    lower = np.where(lower_in != upper_in, lower_in, nearer_lower)
+    d = np.where(coarse, s10 + (~up).astype(np.uint64),
+                 s + (~lower).astype(np.uint64))
+    e = k + coarse
+    while True:
+        rest = d // _TEN
+        zero = rest * _TEN == d
+        if not zero.any():
+            return d, e
+        d = np.where(zero, rest, d)
+        e += zero
+
+
+_ZERO_TEXT = np.frombuffer(b"0.0", np.uint8)
+_INF_TEXT = np.frombuffer(b"inf", np.uint8)
+_NAN_TEXT = np.frombuffer(b"nan", np.uint8)
+
+
+def _float_field(col: np.ndarray) -> np.ndarray:
+    """Python's repr of each float, one NUL-padded row per cell.
+
+    The fields are sign | integer digits | `.` | fraction digits | `e`, sign
+    and at least two exponent digits, the last only in a block where some
+    cell takes it.  As in `repr`, the digits are the shortest that
+    round-trip, nearest the float; a float whose decimal point falls more
+    than 16 digits right or 4 left of its first digit takes exponent form;
+    a positional integer ends in `.0`.  `+0.0` cells, most of a wide pmf's
+    `mass` column, take the constant.
+    """
+    col = col.astype(np.float64, copy=False)
+    # +0.0 is the one float whose bits are all zero.
+    other = np.flatnonzero(col.view(np.uint64))
+    if other.size == len(col):
+        return _repr_field(col)
+    text = _repr_field(col[other]) if other.size else np.zeros((0, 4), np.uint8)
+    field = np.zeros((len(col), text.shape[1]), np.uint8)
+    field[:, 1:4] = _ZERO_TEXT
+    field[other] = text
+    return field
+
+
+def _repr_field(col: np.ndarray) -> np.ndarray:
+    """`_float_field` for a float64 column, each cell computed."""
+    digits = np.zeros(len(col), np.uint64)
+    exp10 = np.zeros(len(col), np.int64)
+    finite = np.isfinite(col)
+    live = np.flatnonzero(finite & (col != 0))
+    digits[live], exp10[live] = _shortest_decimal(col[live])
+    n = _ndigits(digits)
+    # The digits read 0.d1d2...dn 10^point; zeros read 0.0.
+    point = exp10 + n
+    positional = (point > -4) & (point <= 16)
+    point = np.where(positional, point, 1)
+    frac = n - point
+    # Up to 20 fraction digits, but digits < 10^17, so 10^19 splits as well.
+    scale = _POW10[np.clip(frac, 0, 19)]
+    whole = digits // scale
+    fraction = digits - whole * scale
+    whole *= _POW10[np.maximum(-frac, 0)]
+    frac = np.maximum(frac, positional).astype(np.uint8)
+    wi, wf = _ndigits(whole.max()), frac.max()
+    exponent = np.flatnonzero(~positional)
+    if exponent.size:
+        power = exp10[exponent] + n[exponent] - 1
+        mag = np.abs(power).astype(np.uint64)
+        we = 2 + max(_ndigits(mag.max()), 2)
+    else:
+        we = 0
+    field = np.zeros((len(col), 2 + wi + wf + we), np.uint8)
+    field[np.signbit(col) & ~np.isnan(col), 0] = ord("-")
+    _put_digits(field[:, 1:1 + wi], whole, 1)
+    field[frac > 0, 1 + wi] = ord(".")
+    _put_digits(field[:, 2 + wi:2 + wi + wf], fraction, frac)
+    if we:
+        tail = np.zeros((exponent.size, we), np.uint8)
+        tail[:, 0] = ord("e")
+        tail[:, 1] = np.where(power < 0, ord("-"), ord("+"))
+        _put_digits(tail[:, 2:], mag, 2)
+        field[exponent, 2 + wi + wf:] = tail
+    special = np.flatnonzero(~finite)
+    if special.size:
+        field[special, 1:] = 0
+        field[special, 1:4] = np.where(np.isnan(col[special])[:, None],
+                                       _NAN_TEXT, _INF_TEXT)
+    return field
 
 
 def _csv_block(cols: list) -> str:
@@ -103,10 +306,11 @@ def _csv_chunks(columns: dict, extras: dict):
 
     Each cell is the repr of the Python int or float that `tolist()` gives,
     so floats are the shortest round-trip decimal form.  A block of rows is
-    built in numpy: every column becomes a uint8 matrix of NUL-padded fields
-    (digits by `divmod` for integers, `repr` for floats), the fields and the
-    `,`/newline columns are concatenated, and dropping the NULs leaves the
-    rows' text.
+    built in numpy with no per-cell Python call: every column becomes a uint8
+    matrix of NUL-padded fields (decimal digits by integer division for
+    integers; for floats the same digits of the Schubfach kernel's shortest
+    decimal, laid out as `repr` lays it out), the fields and the `,`/newline
+    columns are concatenated, and dropping the NULs leaves the rows' text.
     """
     yield ",".join(columns) + "\n"
     cols = [np.asarray(col) for col in columns.values()]

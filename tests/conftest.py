@@ -1,4 +1,5 @@
-"""Shared helpers: independent scipy-based oracles and admissible-parameter maps.
+"""Shared helpers: independent scipy-based oracles, admissible-parameter maps
+and a traced-memory probe.
 
 The oracles here recompute everything from first principles (q from rho, the
 two conditional rates, scipy binomials) so that package results are checked
@@ -14,6 +15,7 @@ The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 from scipy import stats
@@ -87,3 +89,14 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     l = np.arange(n + 1, dtype=np.float64)
     log_mass = oracle_log_binom_table(n) + np.logaddexp(c0 + slope0 * l, c1 + slope1 * l)
     return log_mass, np.exp(log_mass)
+
+
+def traced_peak(fn, *args):
+    """Peak traced memory of fn(*args) in bytes, above what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

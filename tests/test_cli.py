@@ -5,6 +5,7 @@ import ast
 import errno
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -23,6 +24,8 @@ from dandelion_risk import (GridSpec, ModelConfig, calibrate, loss_pmf, rho_boun
                             sample, scan_rho)
 from dandelion_risk import cli
 from dandelion_risk.cli import CSV_BLOCK_ROWS, build_parser, main
+
+from conftest import traced_peak
 
 # More rows than two CSV blocks, ending part-way through the third.
 MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
@@ -408,12 +411,14 @@ class TestSampleCommand:
 
 INT64 = np.iinfo(np.int64)
 # Signed zeros, the smallest subnormal, both sides of the switches to
-# exponent notation at 1e-05 and 1e+16, non-finite values, and reprs of the
-# longest length, 24 characters.
+# exponent notation below 0.0001 and at 1e+16, non-finite values, and reprs
+# of the longest length, 24 characters.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-               -2.2250738585072014e-308, 1e-05, 9.999999999999999e-06, -1e-05,
-               1e+16, 9999999999999998.0, -1e+16, float("inf"), float("-inf"),
-               float("nan"), -1.2345678901234567e-300, 0.1, -1.0]
+               -2.2250738585072014e-308, 0.0001, -0.0001, 9.999999999999999e-05,
+               math.nextafter(0.0001, 1.0), 1e-05, 9.999999999999999e-06, -1e-05,
+               1e+16, 9999999999999998.0, math.nextafter(1e+16, math.inf), -1e+16,
+               float("inf"), float("-inf"), float("nan"), -1.2345678901234567e-300,
+               0.1, -1.0]
 EDGE_INTS = [INT64.min, INT64.min + 1, -10, -9, -1, 0, 1, 9, 10, INT64.max]
 CELLS = {
     "int": st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT64.min, INT64.max)),
@@ -455,6 +460,61 @@ def test_csv_chunks_are_the_per_cell_repr(table, block_rows):
 def test_csv_chunks_refuse_other_dtypes():
     with pytest.raises(TypeError, match="bool"):
         list(cli._csv_chunks({"flag": np.array([True, False])}, {}))
+
+
+def float_sets():
+    """Named float64 arrays for the CSV float writer, all seeded."""
+    rng = np.random.default_rng(20260)
+    powers = np.array([2.0**k for k in range(-1074, 1024)]
+                      + [float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf)])
+    pmf = loss_pmf(ModelConfig(10**6, 0.5, 0.3))
+    return {
+        # Uniform bits: every exponent, both signs, some nan and inf.
+        "random_bits": rng.integers(0, 2**64, 500_000, np.uint64).view(np.float64),
+        "powers_and_neighbours": np.concatenate([powers, -powers]),
+        "subnormals": np.concatenate([
+            np.arange(1, 4096, dtype=np.uint64),
+            np.arange(2**52 - 4096, 2**52, dtype=np.uint64),
+            rng.integers(1, 2**52, 20_000, np.uint64)]).view(np.float64),
+        # Decimals of 1 to 6 digits, and halfway ties between two shortest
+        # candidates (x.25 and x.75 at 2**49, where floats step by 1/8).
+        "short_decimals": np.concatenate([
+            rng.integers(1, 10**6, 50_000) * 10.0 ** rng.integers(-30, 30, 50_000),
+            np.arange(2.0**49, 2.0**49 + 500, 0.25)]),
+        "specials": np.array(EDGE_FLOATS + [-float("nan")]),
+        "pmf_mass": pmf.mass,
+        "pmf_log_mass": pmf.log_mass,
+    }
+
+
+def test_csv_float_cells_are_their_repr():
+    # Deterministic counterpart of the hypothesis test above, over ~2.6e6
+    # cells chosen where shortest round-trip printing is hard.
+    for name, values in float_sets().items():
+        got = "".join(cli._csv_chunks({"x": values}, {}))
+        expected = "x\n" + "\n".join(map(repr, values.tolist())) + "\n"
+        if got != expected:
+            mismatch = [(g, e) for g, e in zip(got.split(), expected.split())
+                        if g != e]
+            pytest.fail(f"{name}: {mismatch[:5]}")
+
+
+def test_csv_chunks_memory_budget():
+    # Consuming the CSV of the N = 10**6 pmf's columns held a traced peak of
+    # 15.3 MB when each float cell was a 24-byte `repr` field in 65536-row
+    # blocks.
+    pmf = loss_pmf(ModelConfig(10**6, 0.5, 0.3))
+    columns = {"l": np.arange(pmf.n + 1), "mass": pmf.mass,
+               "log_mass": pmf.log_mass}
+
+    def write():
+        for _ in cli._csv_chunks(columns, {}):
+            pass
+
+    list(cli._csv_chunks({"x": pmf.log_mass[:10]}, {}))  # builds the tables
+    assert traced_peak(write) <= 15.3e6
 
 
 @pytest.mark.parametrize("argv, keys", [

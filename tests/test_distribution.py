@@ -43,6 +43,7 @@ from conftest import (
     oracle_mixture_pmf,
     oracle_peak_indices,
     rho_at,
+    traced_peak,
 )
 
 
@@ -210,17 +211,6 @@ class TestSkippedWork:
         c0, slope0, c1, slope1 = _branch_lines(cfg)
         expected = _logaddexp_window(c1 - c0, slope1 - slope0, cfg.n_credits, limit)
         assert _branch_window(c0, slope0, c1, slope1, cfg.n_credits) == expected
-
-
-def traced_peak(fn, *args):
-    """Peak traced memory of fn(*args) in bytes, above what was held before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryBudget:

@@ -34,12 +34,11 @@ from .oracle import GENERATOR_NAME, sample
 
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
-# CSV rows and JSON column values are formatted and written this many at a
-# time, so the memory the writer holds does not grow with the row count.  A
-# CSV block's byte matrix takes at most 43 bytes per float cell and 21 per
-# int64 cell, ~1.6 MB for the pmf's three columns, and each uint64 temporary
-# of the float kernel 128 KB.  Consuming the CSV of a 10**6-row pmf peaked at
-# 5.4 MB traced with 16384-row blocks; 65536 took 20.5 MB and was slower.
+# Both writers format this many rows of a column at a time, so their memory
+# does not grow with the row count.  A block's byte matrix takes at most 43
+# bytes per float cell and 21 per int64 cell, and each uint64 temporary of the
+# float kernel 128 KB.  The 10**6-row pmf peaked at 5.6 MB traced as CSV and
+# 4.9 MB as JSON; 65536-row blocks took 20.5 MB as CSV and were slower.
 CSV_BLOCK_ROWS = 16384
 
 # Parsed attributes that are not run parameters: the subcommand and its
@@ -54,9 +53,9 @@ def _resolve_output(path: str) -> str:
     return path
 
 
-# The CSV writer's arithmetic is integer only, mostly uint64.  Every uint64
-# constant is an np.uint64 scalar: numpy 1.x turns a uint64 array combined
-# with a Python int into float64.
+# The float kernel's arithmetic is integer only, mostly uint64.  Its uint64
+# constants are np.uint64 scalars, so no operation's type rests on how numpy
+# promotes a Python int, which numpy 2.0 changed (NEP 50).
 _TEN = np.uint64(10)
 _POW10 = np.array([10**j for j in range(20)], np.uint64)
 _M32 = np.uint64(2**32 - 1)
@@ -284,8 +283,13 @@ def _repr_field(col: np.ndarray) -> np.ndarray:
     return field
 
 
-def _csv_block(cols: list) -> str:
-    """The CSV rows of equal-length columns, all cells built as one matrix."""
+def _csv_block(cols: list, end: str) -> str:
+    """The rows of equal-length columns, cells joined by `,`, rows ended by
+    `end`, each cell the repr of the int or float `tolist()` gives: each
+    column becomes a uint8 matrix of NUL-padded fields (integer digits by
+    integer division, float digits from the Schubfach kernel's shortest
+    decimal, laid out as `repr` lays them out), and dropping the NULs from
+    them and the separator columns, concatenated, leaves the text."""
     n = len(cols[0])
     parts = []
     for col in cols:
@@ -294,38 +298,33 @@ def _csv_block(cols: list) -> str:
         elif col.dtype.kind == "f":
             parts.append(_float_field(col))
         else:
-            raise TypeError(f"no CSV form for a {col.dtype} column")
+            raise TypeError(f"no text form for a {col.dtype} column")
         parts.append(np.full((n, 1), ord(","), np.uint8))
-    parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+    parts[-1] = np.tile(np.frombuffer(end.encode("ascii"), np.uint8), (n, 1))
     matrix = np.concatenate(parts, axis=1)
     return matrix[matrix != 0].tobytes().decode("ascii")
 
 
-def _csv_chunks(columns: dict, extras: dict):
-    """Yield the CSV text: header, rows in blocks, then `# key = value` lines.
+def _blocks(cols: list, end: str):
+    """Yield `_csv_block`s of equal-length columns, CSV_BLOCK_ROWS rows each."""
+    for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
+        yield _csv_block([col[start:start + CSV_BLOCK_ROWS] for col in cols], end)
 
-    Each cell is the repr of the Python int or float that `tolist()` gives,
-    so floats are the shortest round-trip decimal form.  A block of rows is
-    built in numpy with no per-cell Python call: every column becomes a uint8
-    matrix of NUL-padded fields (decimal digits by integer division for
-    integers; for floats the same digits of the Schubfach kernel's shortest
-    decimal, laid out as `repr` lays it out), the fields and the `,`/newline
-    columns are concatenated, and dropping the NULs leaves the rows' text.
-    """
+
+def _csv_chunks(columns: dict, extras: dict):
+    """Yield the CSV text: header, rows in blocks, then `# key = value` lines."""
     yield ",".join(columns) + "\n"
-    cols = [np.asarray(col) for col in columns.values()]
-    n_rows = len(cols[0]) if cols else 0
-    for start in range(0, n_rows, CSV_BLOCK_ROWS):
-        yield _csv_block([col[start:start + CSV_BLOCK_ROWS] for col in cols])
+    yield from _blocks([np.asarray(col) for col in columns.values()], "\n")
     for key, value in extras.items():
         yield f"# {key} = {'' if value is None else value}\n"
 
 
 def _json_chunks(columns: dict, extras: dict, manifest: str):
-    """Yield the JSON document in pieces, each column a block at a time.
-
-    The pieces join to `json.dumps({"data": {**columns, **extras}, "manifest":
-    ...}, sort_keys=True)` plus a newline, so only the memory use changes.
+    """Yield `json.dumps({"data": {**columns, **extras}, "manifest": ...},
+    sort_keys=True)` and a newline in pieces, a column a block at a time, its
+    values `_csv_block`'s `repr` cells, as `json.dumps` prints them.  No column
+    is non-finite, which would read `nan`, not `NaN`: `LossPmf` refuses
+    non-finite log masses, and the scan grid and its reports are finite.
     """
     data = {**columns, **extras}
     yield '{"data": {'
@@ -334,12 +333,11 @@ def _json_chunks(columns: dict, extras: dict, manifest: str):
         if key in extras:
             yield json.dumps(extras[key], sort_keys=True)
             continue
-        yield "["
-        col = np.asarray(columns[key])
-        for start in range(0, len(col), CSV_BLOCK_ROWS):
-            block = json.dumps(col[start:start + CSV_BLOCK_ROWS].tolist())[1:-1]
-            yield (", " if start else "") + block
-        yield "]"
+        text = "["  # one block behind, so the last one's `, ` can be cut
+        for block in _blocks([np.asarray(columns[key])], ", "):
+            yield text
+            text = block
+        yield text.removesuffix(", ") + "]"
     yield '}, "manifest": ' + manifest + "}\n"
 
 

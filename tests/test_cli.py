@@ -452,14 +452,27 @@ def test_csv_chunks_are_the_per_cell_repr(table, block_rows):
         + [",".join(row) + "\n" for row in zip(*cells)]
         + [f"# {key} = {'' if value is None else value}\n"
            for key, value in extras.items()])
+    # The JSON writer shares the cells; JSON spells non-finite floats
+    # otherwise, and no CLI column holds one, so only finite cells are kept.
+    finite = {key: [v for v in np.asarray(col).tolist() if math.isfinite(v)]
+              for key, col in columns.items()}
+    json_columns = {key: values if isinstance(columns[key], list)
+                    else np.asarray(values, columns[key].dtype)
+                    for key, values in finite.items()}
+    expected_json = json.dumps({"data": {**finite, **extras}, "manifest": {}},
+                               sort_keys=True) + "\n"
     # Small blocks put the row count on either side of a block boundary.
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
         assert "".join(cli._csv_chunks(columns, extras)) == expected
+        assert "".join(cli._json_chunks(json_columns, extras, "{}")) == expected_json
 
 
 def test_csv_chunks_refuse_other_dtypes():
+    columns = {"flag": np.array([True, False])}
     with pytest.raises(TypeError, match="bool"):
-        list(cli._csv_chunks({"flag": np.array([True, False])}, {}))
+        list(cli._csv_chunks(columns, {}))
+    with pytest.raises(TypeError, match="bool"):
+        list(cli._json_chunks(columns, {}, "{}"))
 
 
 def float_sets():
@@ -501,16 +514,21 @@ def test_csv_float_cells_are_their_repr():
             pytest.fail(f"{name}: {mismatch[:5]}")
 
 
-def test_csv_chunks_memory_budget():
+@pytest.mark.parametrize("chunks", [
+    pytest.param(lambda columns: cli._csv_chunks(columns, {}), id="csv"),
+    pytest.param(lambda columns: cli._json_chunks(columns, {}, "{}"), id="json"),
+])
+def test_csv_chunks_memory_budget(chunks):
     # Consuming the CSV of the N = 10**6 pmf's columns held a traced peak of
     # 15.3 MB when each float cell was a 24-byte `repr` field in 65536-row
-    # blocks.
+    # blocks.  With 16384-row blocks the CSV writer peaked at 5.6 MB and the
+    # JSON writer, a column at a time, at 4.9 MB.
     pmf = loss_pmf(ModelConfig(10**6, 0.5, 0.3))
     columns = {"l": np.arange(pmf.n + 1), "mass": pmf.mass,
                "log_mass": pmf.log_mass}
 
     def write():
-        for _ in cli._csv_chunks(columns, {}):
+        for _ in chunks(columns):
             pass
 
     list(cli._csv_chunks({"x": pmf.log_mass[:10]}, {}))  # builds the tables

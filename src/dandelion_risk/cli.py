@@ -35,10 +35,11 @@ from .oracle import GENERATOR_NAME, sample
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
 # Both writers format this many rows of a column at a time, so their memory
-# does not grow with the row count.  A block's byte matrix takes at most 43
-# bytes per float cell and 21 per int64 cell, and each uint64 temporary of the
-# float kernel 128 KB.  The 10**6-row pmf peaked at 5.6 MB traced as CSV and
-# 4.9 MB as JSON; 65536-row blocks took 20.5 MB as CSV and were slower.
+# does not grow with the row count.  A block's byte matrix takes at most 44
+# bytes per float cell and 20 per int64 cell, separator included, and each
+# uint64 temporary of the float kernel 128 KB.  The 10**6-row pmf peaks at
+# 5.2 MB traced as CSV and 4.5 MB as JSON; 65536-row blocks took 20.5 MB as
+# CSV and were slower.
 CSV_BLOCK_ROWS = 16384
 
 # Parsed attributes that are not run parameters: the subcommand and its
@@ -74,11 +75,12 @@ def _put_digits(field: np.ndarray, mag: np.ndarray, least) -> None:
     """Write each uint64 `mag` in decimal ASCII, right-aligned in the columns
     of the uint8 matrix `field`, with NULs left of its digits.
 
-    `least` digits are written even when they are leading zeros: an int, or
-    one count per row.  `mag` must be below 10 ** (number of columns).
+    Each row's digits run to its highest non-zero one or its `least`-th,
+    whichever is further left: `least` is an int, or one count per row.
+    `mag` must be below 10 ** (number of columns).
     """
     width = field.shape[1]
-    floor = least.min() if np.ndim(least) else least
+    floor = np.min(least)
     ten = _TEN
     for j in range(width):
         if j == max(width - 9, 0):
@@ -89,21 +91,17 @@ def _put_digits(field: np.ndarray, mag: np.ndarray, least) -> None:
         char = (mag - rest * ten).astype(np.uint8)
         char += ord("0")
         if j >= floor:
-            char *= (least > j) if np.ndim(least) else (mag != 0)
+            char *= (least > j) | (mag != 0)
         field[:, width - 1 - j] = char
         mag = rest
 
 
 def _int_field(col: np.ndarray) -> np.ndarray:
-    """Decimal digits of an integer column, one NUL-padded row per cell."""
-    neg = col < 0
-    # Negated in uint64, so the int64 minimum keeps its magnitude 2**63.
-    mag = col.astype(np.uint64)
-    mag = np.where(neg, -mag, mag)
-    width = _ndigits(mag.max())
-    field = np.zeros((len(col), width + 1), np.uint8)
-    field[neg, 0] = ord("-")
-    _put_digits(field[:, 1:], mag, 1)
+    """Decimal digits of a non-negative int64 column, one NUL-padded row per
+    cell."""
+    mag = col.view(np.uint64)
+    field = np.zeros((len(col), _ndigits(mag.max())), np.uint8)
+    _put_digits(field, mag, 1)
     return field
 
 
@@ -210,42 +208,29 @@ def _shortest_decimal(col: np.ndarray) -> tuple:
 
 
 _ZERO_TEXT = np.frombuffer(b"0.0", np.uint8)
-_INF_TEXT = np.frombuffer(b"inf", np.uint8)
-_NAN_TEXT = np.frombuffer(b"nan", np.uint8)
 
 
 def _float_field(col: np.ndarray) -> np.ndarray:
-    """Python's repr of each float, one NUL-padded row per cell.
+    """Python's repr of each finite float64, one NUL-padded row per cell.
 
     The fields are sign | integer digits | `.` | fraction digits | `e`, sign
     and at least two exponent digits, the last only in a block where some
     cell takes it.  As in `repr`, the digits are the shortest that
     round-trip, nearest the float; a float whose decimal point falls more
     than 16 digits right or 4 left of its first digit takes exponent form;
-    a positional integer ends in `.0`.  `+0.0` cells, most of a wide pmf's
-    `mass` column, take the constant.
+    a positional integer ends in `.0`.  Only the non-zero cells are
+    computed; zeros of either sign, most of a wide pmf's `mass` column, take
+    the constant.
     """
-    col = col.astype(np.float64, copy=False)
-    # +0.0 is the one float whose bits are all zero.
-    other = np.flatnonzero(col.view(np.uint64))
-    if other.size == len(col):
-        return _repr_field(col)
-    text = _repr_field(col[other]) if other.size else np.zeros((0, 4), np.uint8)
-    field = np.zeros((len(col), text.shape[1]), np.uint8)
-    field[:, 1:4] = _ZERO_TEXT
-    field[other] = text
-    return field
-
-
-def _repr_field(col: np.ndarray) -> np.ndarray:
-    """`_float_field` for a float64 column, each cell computed."""
-    digits = np.zeros(len(col), np.uint64)
-    exp10 = np.zeros(len(col), np.int64)
-    finite = np.isfinite(col)
-    live = np.flatnonzero(finite & (col != 0))
-    digits[live], exp10[live] = _shortest_decimal(col[live])
+    live = np.flatnonzero(col)
+    sign = np.signbit(col) * np.uint8(ord("-"))
+    if not live.size:
+        return np.column_stack([sign, np.broadcast_to(_ZERO_TEXT, (len(col), 3))])
+    if live.size == len(col):
+        live = slice(None)  # a view and a plain copy, not a gather and scatter
+    digits, exp10 = _shortest_decimal(col[live])
     n = _ndigits(digits)
-    # The digits read 0.d1d2...dn 10^point; zeros read 0.0.
+    # The digits read 0.d1d2...dn 10^point.
     point = exp10 + n
     positional = (point > -4) & (point <= 16)
     point = np.where(positional, point, 1)
@@ -264,45 +249,46 @@ def _repr_field(col: np.ndarray) -> np.ndarray:
         we = 2 + max(_ndigits(mag.max()), 2)
     else:
         we = 0
-    field = np.zeros((len(col), 2 + wi + wf + we), np.uint8)
-    field[np.signbit(col) & ~np.isnan(col), 0] = ord("-")
-    _put_digits(field[:, 1:1 + wi], whole, 1)
-    field[frac > 0, 1 + wi] = ord(".")
-    _put_digits(field[:, 2 + wi:2 + wi + wf], fraction, frac)
+    text = np.zeros((len(digits), 2 + wi + wf + we), np.uint8)
+    _put_digits(text[:, 1:1 + wi], whole, 1)
+    text[frac > 0, 1 + wi] = ord(".")
+    _put_digits(text[:, 2 + wi:2 + wi + wf], fraction, frac)
     if we:
         tail = np.zeros((exponent.size, we), np.uint8)
         tail[:, 0] = ord("e")
         tail[:, 1] = np.where(power < 0, ord("-"), ord("+"))
         _put_digits(tail[:, 2:], mag, 2)
-        field[exponent, 2 + wi + wf:] = tail
-    special = np.flatnonzero(~finite)
-    if special.size:
-        field[special, 1:] = 0
-        field[special, 1:4] = np.where(np.isnan(col[special])[:, None],
-                                       _NAN_TEXT, _INF_TEXT)
+        text[exponent, 2 + wi + wf:] = tail
+    field = np.zeros((len(col), text.shape[1]), np.uint8)
+    field[:, 1:4] = _ZERO_TEXT
+    field[live] = text
+    field[:, 0] = sign
     return field
 
 
 def _csv_block(cols: list, end: str) -> str:
     """The rows of equal-length columns, cells joined by `,`, rows ended by
-    `end`, each cell the repr of the int or float `tolist()` gives: each
-    column becomes a uint8 matrix of NUL-padded fields (integer digits by
-    integer division, float digits from the Schubfach kernel's shortest
-    decimal, laid out as `repr` lays them out), and dropping the NULs from
-    them and the separator columns, concatenated, leaves the text."""
+    `end`, each cell the repr of the int or float `tolist()` gives.
+
+    A column is int64 with no cell below zero, or float64 with every cell
+    finite; any other raises TypeError.  Each column becomes a uint8 matrix
+    of NUL-padded fields (integer digits by integer division, float digits
+    from the Schubfach kernel's shortest decimal, laid out as `repr` lays
+    them out), and dropping the NULs from them and the separator columns,
+    concatenated, leaves the text."""
     n = len(cols[0])
     parts = []
     for col in cols:
-        if col.dtype.kind in "iu":
+        if col.dtype == np.int64 and (col >= 0).all():
             parts.append(_int_field(col))
-        elif col.dtype.kind == "f":
+        elif col.dtype == np.float64 and np.isfinite(col).all():
             parts.append(_float_field(col))
         else:
-            raise TypeError(f"no text form for a {col.dtype} column")
+            raise TypeError(f"no text form for a {col.dtype} column: only int64 >= 0 "
+                            "and finite float64 have one")
         parts.append(np.full((n, 1), ord(","), np.uint8))
     parts[-1] = np.tile(np.frombuffer(end.encode("ascii"), np.uint8), (n, 1))
-    matrix = np.concatenate(parts, axis=1)
-    return matrix[matrix != 0].tobytes().decode("ascii")
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _blocks(cols: list, end: str):
@@ -322,9 +308,9 @@ def _csv_chunks(columns: dict, extras: dict):
 def _json_chunks(columns: dict, extras: dict, manifest: str):
     """Yield `json.dumps({"data": {**columns, **extras}, "manifest": ...},
     sort_keys=True)` and a newline in pieces, a column a block at a time, its
-    values `_csv_block`'s `repr` cells, as `json.dumps` prints them.  No column
-    is non-finite, which would read `nan`, not `NaN`: `LossPmf` refuses
-    non-finite log masses, and the scan grid and its reports are finite.
+    values `_csv_block`'s `repr` cells, as `json.dumps` prints them.  Those
+    are the cells of int64 >= 0 and finite float64 columns; `_csv_block`
+    refuses any other, so no `nan` reaches JSON, which spells it `NaN`.
     """
     data = {**columns, **extras}
     yield '{"data": {'

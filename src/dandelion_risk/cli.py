@@ -38,7 +38,7 @@ OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 # does not grow with the row count.  A block's byte matrix takes at most 44
 # bytes per float cell and 20 per int64 cell, separator included, and each
 # uint64 temporary of the float kernel 128 KB.  The 10**6-row pmf peaks at
-# 5.2 MB traced as CSV and 4.5 MB as JSON; 65536-row blocks took 20.5 MB as
+# 5.6 MB traced as CSV and 4.9 MB as JSON; 65536-row blocks took 20.5 MB as
 # CSV and were slower.
 CSV_BLOCK_ROWS = 16384
 
@@ -57,7 +57,7 @@ def _resolve_output(path: str) -> str:
 # The float kernel's arithmetic is integer only, mostly uint64.  Its uint64
 # constants are np.uint64 scalars, so no operation's type rests on how numpy
 # promotes a Python int, which numpy 2.0 changed (NEP 50).
-_TEN = np.uint64(10)
+_ONE, _TEN, _64 = np.uint64(1), np.uint64(10), np.uint64(64)
 _POW10 = np.array([10**j for j in range(20)], np.uint64)
 _M32 = np.uint64(2**32 - 1)
 _M63 = np.uint64(2**63 - 1)
@@ -110,8 +110,7 @@ def _pow10_multipliers() -> tuple:
     """Schubfach's 126-bit multipliers g = floor(10^e 2^(125 - r)) + 1, with
     r = floor(log2(10^e)), for e in _G_MIN.._G_MAX, and r itself.
 
-    g is returned as the 32-bit halves of its top and bottom 63 bits,
-    g = g1 2^63 + g0, which the 64x64-bit products take apart anyway.
+    g is returned as its top and bottom 63 bits, g = g1 2^63 + g0.
     """
     g1, g0, r = [], [], []
     for e in range(_G_MIN, _G_MAX + 1):
@@ -126,36 +125,79 @@ def _pow10_multipliers() -> tuple:
             g = (1 << (125 - r[-1])) // p + 1
         g1.append(g >> 63)
         g0.append(g & (2**63 - 1))
-    g1, g0 = np.array(g1, np.uint64), np.array(g0, np.uint64)
-    table = (g1 >> np.uint64(32), g1 & _M32, g0 >> np.uint64(32), g0 & _M32,
-             np.array(r, np.int64))
+    table = (np.array(g1, np.uint64), np.array(g0, np.uint64), np.array(r, np.int64))
     for array in table:
         array.setflags(write=False)
     return table
 
 
-def _mul_high(a_hi, a_lo, b_hi, b_lo):
-    """The high 64 bits of the 128-bit products a*b, from 32-bit halves, and
-    the words `mid` and `ll` that give the low 64 bits."""
+def _mul_high(a, b_hi, b_lo):
+    """The high 64 bits of the 128-bit products a*b, b given as 32-bit halves."""
+    a_hi, a_lo = a >> np.uint64(32), a & _M32
     ll = a_lo * b_lo
     lh = a_lo * b_hi
     hl = a_hi * b_lo
     mid = (ll >> np.uint64(32)) + (lh & _M32) + (hl & _M32)
     high = a_hi * b_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32))
-    return high + (mid >> np.uint64(32)), mid, ll
+    return high + (mid >> np.uint64(32))
 
 
-def _round_to_odd(g, cp):
-    """rop(g cp 2^-127): the product's integer part, made odd if a fraction
-    was cut off, read from the bits down to 2^-63, as Schubfach's proof for
-    this table's scaling allows."""
-    g1_hi, g1_lo, g0_hi, g0_lo = g
-    cp_hi, cp_lo = cp >> np.uint64(32), cp & _M32
-    x1 = _mul_high(g0_hi, g0_lo, cp_hi, cp_lo)[0]
-    y1, mid, ll = _mul_high(g1_hi, g1_lo, cp_hi, cp_lo)
-    y0 = (mid << np.uint64(32)) | (ll & _M32)
-    z = (y0 >> np.uint64(1)) + x1
+def _round_to_odd(x1, y0, y1):
+    """rop(g cp 2^-127) from the words of the products g0 cp = x1 2^64 + x0
+    and g1 cp = y1 2^64 + y0: the product's integer part, made odd if a
+    fraction was cut off, read from the bits down to 2^-63, as Schubfach's
+    proof for this table's scaling allows."""
+    z = (y0 >> _ONE) + x1
     return (y1 + (z >> np.uint64(63))) | (((z & _M63) + _M63) >> np.uint64(63))
+
+
+def _scaled_interval(col: np.ndarray) -> tuple:
+    """(vb, vbl, vbr, k) of each finite non-zero float v = c 2^q: v and the
+    lower and upper ends of its rounding interval, times 4 10^-k and rounded
+    to odd, with k = floor(log10(2^q)), or floor(log10(3/4 2^q)) where the
+    spacing below v is half the spacing above it.
+
+    Schubfach forms each as a round-to-odd product of the 126-bit multiplier
+    g = g1 2^63 + g0 of 10^-k and a 64-bit scaled value: cp = 4c 2^h for v,
+    cp - 2^(h+1) (cp - 2^h at an irregular spacing) and cp + 2^(h+1) for the
+    ends, with h = q + r + 2 in 2..5.  Only g0 cp and g1 cp are multiplied
+    out here.  For each half, gi (cp +- 2^s) = gi cp +- gi 2^s, and gi 2^s
+    has the high word gi >> (64 - s) and the low word gi << s; s lies in
+    2..6, so both shift counts lie in 1..63, where a uint64 shift is
+    defined.  Adding or subtracting these words, with the low word's carry
+    or borrow, gives exactly the words of the JDK's three products, so its
+    proof holds as it stands.
+    """
+    bits = col.view(np.uint64)
+    t = bits & np.uint64(2**52 - 1)
+    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
+    c = t | (biased > 0).astype(np.uint64) << np.uint64(52)
+    q = np.maximum(biased, 1) - 1075
+    # At a power of two above the smallest normal the spacing below the float
+    # is half the spacing above it.
+    irregular = (t == 0) & (biased > 1)
+    # floor(log10(2^q)) and floor(log10(3/4 2^q)), exact for |q| < 5.4e6.
+    k = (q * 661971961083 - irregular * np.int64(274743187321)) >> 41
+    index = -_G_MIN - k
+    g1, g0, r = (array.take(index) for array in _pow10_multipliers())
+    h = (q + r + 2).astype(np.uint64)
+    cp = c << (h + np.uint64(2))
+    cp_hi, cp_lo = cp >> np.uint64(32), cp & _M32
+    x1, x0 = _mul_high(g0, cp_hi, cp_lo), g0 * cp
+    y1, y0 = _mul_high(g1, cp_hi, cp_lo), g1 * cp
+    vb = _round_to_odd(x1, y0, y1)
+    # An odd significand's rounding interval excludes its ends.
+    odd = c & _ONE
+    s = h + _ONE
+    lo0, lo1 = g0 << s, g1 << s
+    y0r = y0 + lo1
+    vbr = _round_to_odd(x1 + (g0 >> (_64 - s)) + (x0 + lo0 < lo0), y0r,
+                        y1 + (g1 >> (_64 - s)) + (y0r < lo1)) - odd
+    s -= irregular
+    lo0, lo1 = g0 << s, g1 << s
+    vbl = _round_to_odd(x1 - (g0 >> (_64 - s)) - (x0 < lo0), y0 - lo1,
+                        y1 - (g1 >> (_64 - s)) - (y0 < lo1)) + odd
+    return vb, vbl, vbr, k
 
 
 def _shortest_decimal(col: np.ndarray) -> tuple:
@@ -167,44 +209,36 @@ def _shortest_decimal(col: np.ndarray) -> tuple:
     in the JDK's DoubleToDecimal without its two-digit minimum: of the
     rounding interval's decimals at the scale 10^k, k = floor(log10(2^q)),
     and at 10^(k+1), where at most one fits, take the coarser if one fits.
+    The float and its interval's ends come scaled by `_scaled_interval`.
     """
-    bits = col.view(np.uint64)
-    t = bits & np.uint64(2**52 - 1)
-    biased = (bits >> np.uint64(52)).astype(np.int64) & 0x7FF
-    c = np.where(biased > 0, t | np.uint64(2**52), t)
-    q = np.maximum(biased, 1) - 1075
-    # At a power of two above the smallest normal the spacing below the float
-    # is half the spacing above it.
-    irregular = (t == 0) & (biased > 1)
-    # floor(log10(2^q)) and floor(log10(3/4 2^q)), exact for |q| < 5.4e6.
-    k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
-    *g, r = (array[-k - _G_MIN] for array in _pow10_multipliers())
-    h = (q + r + 2).astype(np.uint64)
-    odd = c & np.uint64(1)
-    cb = c << np.uint64(2)
-    vb = _round_to_odd(g, cb << h)
-    # An odd significand's rounding interval excludes its ends.
-    vbl = _round_to_odd(g, (cb - np.uint64(2) + irregular.astype(np.uint64)) << h) + odd
-    vbr = _round_to_odd(g, (cb + np.uint64(2)) << h) - odd
+    vb, vbl, vbr, e = _scaled_interval(col)
     s = vb >> np.uint64(2)
     s10 = s // _TEN
-    up = vbl <= s10 * np.uint64(40)
-    coarse = up != (s10 * np.uint64(40) + np.uint64(40) <= vbr)
-    lower_in = vbl <= s << np.uint64(2)
-    upper_in = (s << np.uint64(2)) + np.uint64(4) <= vbr
-    mid = (s << np.uint64(2)) + np.uint64(2)
-    nearer_lower = (vb < mid) | ((vb == mid) & ((s & np.uint64(1)) == 0))
-    lower = np.where(lower_in != upper_in, lower_in, nearer_lower)
-    d = np.where(coarse, s10 + (~up).astype(np.uint64),
-                 s + (~lower).astype(np.uint64))
-    e = k + coarse
+    s40 = s10 * np.uint64(40)
+    up = vbl <= s40
+    coarse = up != (s40 + np.uint64(40) <= vbr)
+    s4 = s << np.uint64(2)
+    lower_in = vbl <= s4
+    upper_in = s4 + np.uint64(4) <= vbr
+    # vb lies above s4 + 2, the midpoint, or on it with s odd.
+    nearer_upper = (vb & np.uint64(3)) + (s & _ONE) > np.uint64(2)
+    # The selects are arithmetic: np.where is slow on masks without a pattern.
+    d = s + (nearer_upper ^ ((lower_in ^ upper_in) & (upper_in ^ nearer_upper)))
+    d += coarse * (s10 + ~up - d)
+    e += coarse
+    # Few digits end in 0: one pass over all finds those that do, and only
+    # they go round the loop.
+    rest = d // _TEN
+    at = np.flatnonzero(rest * _TEN == d)
+    digits, power = rest[at], e[at] + 1
     while True:
-        rest = d // _TEN
-        zero = rest * _TEN == d
+        rest = digits // _TEN
+        zero = rest * _TEN == digits
         if not zero.any():
+            d[at], e[at] = digits, power
             return d, e
-        d = np.where(zero, rest, d)
-        e += zero
+        digits = np.where(zero, rest, digits)
+        power += zero
 
 
 _ZERO_TEXT = np.frombuffer(b"0.0", np.uint8)
@@ -226,9 +260,8 @@ def _float_field(col: np.ndarray) -> np.ndarray:
     sign = np.signbit(col) * np.uint8(ord("-"))
     if not live.size:
         return np.column_stack([sign, np.broadcast_to(_ZERO_TEXT, (len(col), 3))])
-    if live.size == len(col):
-        live = slice(None)  # a view and a plain copy, not a gather and scatter
-    digits, exp10 = _shortest_decimal(col[live])
+    dense = live.size == len(col)
+    digits, exp10 = _shortest_decimal(col if dense else col[live])
     n = _ndigits(digits)
     # The digits read 0.d1d2...dn 10^point.
     point = exp10 + n
@@ -259,23 +292,26 @@ def _float_field(col: np.ndarray) -> np.ndarray:
         tail[:, 1] = np.where(power < 0, ord("-"), ord("+"))
         _put_digits(tail[:, 2:], mag, 2)
         text[exponent, 2 + wi + wf:] = tail
-    field = np.zeros((len(col), text.shape[1]), np.uint8)
-    field[:, 1:4] = _ZERO_TEXT
-    field[live] = text
+    if dense:
+        field = text  # no zero cell, so no copy
+    else:
+        field = np.zeros((len(col), text.shape[1]), np.uint8)
+        field[:, 1:4] = _ZERO_TEXT
+        field[live] = text
     field[:, 0] = sign
     return field
 
 
-def _csv_block(cols: list, end: str) -> str:
-    """The rows of equal-length columns, cells joined by `,`, rows ended by
-    `end`, each cell the repr of the int or float `tolist()` gives.
+def _csv_block(cols: list, end: bytes) -> bytes:
+    """The ASCII rows of equal-length columns, cells joined by `,`, rows
+    ended by `end`, each cell the repr of the int or float `tolist()` gives.
 
     A column is int64 with no cell below zero, or float64 with every cell
     finite; any other raises TypeError.  Each column becomes a uint8 matrix
     of NUL-padded fields (integer digits by integer division, float digits
     from the Schubfach kernel's shortest decimal, laid out as `repr` lays
     them out), and dropping the NULs from them and the separator columns,
-    concatenated, leaves the text."""
+    concatenated, leaves the bytes."""
     n = len(cols[0])
     parts = []
     for col in cols:
@@ -287,44 +323,45 @@ def _csv_block(cols: list, end: str) -> str:
             raise TypeError(f"no text form for a {col.dtype} column: only int64 >= 0 "
                             "and finite float64 have one")
         parts.append(np.full((n, 1), ord(","), np.uint8))
-    parts[-1] = np.tile(np.frombuffer(end.encode("ascii"), np.uint8), (n, 1))
-    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0").decode("ascii")
+    parts[-1] = np.tile(np.frombuffer(end, np.uint8), (n, 1))
+    return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _blocks(cols: list, end: str):
+def _blocks(cols: list, end: bytes):
     """Yield `_csv_block`s of equal-length columns, CSV_BLOCK_ROWS rows each."""
     for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
         yield _csv_block([col[start:start + CSV_BLOCK_ROWS] for col in cols], end)
 
 
 def _csv_chunks(columns: dict, extras: dict):
-    """Yield the CSV text: header, rows in blocks, then `# key = value` lines."""
-    yield ",".join(columns) + "\n"
-    yield from _blocks([np.asarray(col) for col in columns.values()], "\n")
+    """Yield the CSV bytes: header, rows in blocks, then `# key = value`
+    lines."""
+    yield (",".join(columns) + "\n").encode()
+    yield from _blocks([np.asarray(col) for col in columns.values()], b"\n")
     for key, value in extras.items():
-        yield f"# {key} = {'' if value is None else value}\n"
+        yield f"# {key} = {'' if value is None else value}\n".encode()
 
 
 def _json_chunks(columns: dict, extras: dict, manifest: str):
     """Yield `json.dumps({"data": {**columns, **extras}, "manifest": ...},
-    sort_keys=True)` and a newline in pieces, a column a block at a time, its
+    sort_keys=True)` and a newline as bytes, a column a block at a time, its
     values `_csv_block`'s `repr` cells, as `json.dumps` prints them.  Those
     are the cells of int64 >= 0 and finite float64 columns; `_csv_block`
     refuses any other, so no `nan` reaches JSON, which spells it `NaN`.
     """
     data = {**columns, **extras}
-    yield '{"data": {'
+    yield b'{"data": {'
     for i, key in enumerate(sorted(data)):
-        yield (", " if i else "") + json.dumps(key) + ": "
+        yield ((", " if i else "") + json.dumps(key) + ": ").encode()
         if key in extras:
-            yield json.dumps(extras[key], sort_keys=True)
+            yield json.dumps(extras[key], sort_keys=True).encode()
             continue
-        text = "["  # one block behind, so the last one's `, ` can be cut
-        for block in _blocks([np.asarray(columns[key])], ", "):
+        text = b"["  # one block behind, so the last one's `, ` can be cut
+        for block in _blocks([np.asarray(columns[key])], b", "):
             yield text
             text = block
-        yield text.removesuffix(", ") + "]"
-    yield '}, "manifest": ' + manifest + "}\n"
+        yield text.removesuffix(b", ") + b"]"
+    yield ('}, "manifest": ' + manifest + "}\n").encode()
 
 
 def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
@@ -333,7 +370,9 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
 
     `manifest` is the manifest's JSON text, written as given.  JSON embeds it
     next to `data` (columns and extras).  CSV puts it in a sidecar
-    `<file>.manifest.json`, or on stderr when the rows go to stdout.  When a
+    `<file>.manifest.json`, or on stderr when the rows go to stdout.  The
+    formatters yield bytes: a file takes them through a binary handle, and
+    stdout, which may be any text stream, takes them decoded.  When a
     file write fails, each file this call opened that is a regular file, not
     a symlink or a device, is removed before the error is re-raised, so no
     partial output or output without its manifest is left.
@@ -343,14 +382,14 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
     else:
         chunks, sidecar = _csv_chunks(columns, extras), manifest + "\n"
     if output is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
         if sidecar is not None:
             sys.stderr.write(sidecar)
         return
     path = _resolve_output(output)
     rows = side = None
     try:
-        with open(path, "w", encoding="utf-8", newline="") as rows:
+        with open(path, "wb") as rows:
             rows.writelines(chunks)
         if sidecar is not None:
             with open(path + ".manifest.json", "w", encoding="utf-8") as side:

@@ -128,10 +128,12 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
                                  f"bound {int64_max} (int64)")
     rate_given_sound, rate_given_default = conditional_probs(cfg)
     rng = np.random.default_rng(seed)
-    l0 = (rng.random(count) < cfg.p).astype(np.int64)
-    rates = np.where(l0 == 1, rate_given_default, rate_given_sound)
-    loss = rng.binomial(cfg.n_credits, rates).astype(np.int64)
-    return np.column_stack([l0, loss])
+    draws = np.empty((count, 2), np.int64)
+    l0 = draws[:, 0]
+    np.less(rng.random(count), cfg.p, out=l0)
+    rates = np.array([rate_given_sound, rate_given_default]).take(l0)
+    draws[:, 1] = rng.binomial(cfg.n_credits, rates)
+    return draws
 
 
 # --- maximum-entropy fit -----------------------------------------------------

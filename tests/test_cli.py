@@ -151,7 +151,7 @@ class TestPmfCommand:
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
         def header_then_full(columns, extras):
-            yield ",".join(columns) + "\n"
+            yield (",".join(columns) + "\n").encode()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         target = tmp_path / "target.csv"
@@ -457,8 +457,8 @@ def test_csv_chunks_are_the_per_cell_repr(table, block_rows):
                                sort_keys=True) + "\n"
     # Small blocks put the row count on either side of a block boundary.
     with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
-        assert "".join(cli._csv_chunks(columns, extras)) == expected
-        assert "".join(cli._json_chunks(columns, extras, "{}")) == expected_json
+        assert b"".join(cli._csv_chunks(columns, extras)).decode() == expected
+        assert b"".join(cli._json_chunks(columns, extras, "{}")).decode() == expected_json
 
 
 def test_csv_chunks_refuse_other_dtypes():
@@ -505,12 +505,63 @@ def test_csv_float_cells_are_their_repr():
     # Deterministic counterpart of the hypothesis test above, over ~2.6e6
     # cells chosen where shortest round-trip printing is hard.
     for name, values in float_sets().items():
-        got = "".join(cli._csv_chunks({"x": values}, {}))
+        got = b"".join(cli._csv_chunks({"x": values}, {})).decode()
         expected = "x\n" + "\n".join(map(repr, values.tolist())) + "\n"
         if got != expected:
             mismatch = [(g, e) for g, e in zip(got.split(), expected.split())
                         if g != e]
             pytest.fail(f"{name}: {mismatch[:5]}")
+
+
+U64 = np.uint64
+M32, M63 = U64(2**32 - 1), U64(2**63 - 1)
+
+
+def mul_words(a, b):
+    """The high and low 64 bits of the 128-bit products of uint64 a and b."""
+    a_hi, a_lo, b_hi, b_lo = a >> U64(32), a & M32, b >> U64(32), b & M32
+    ll, lh, hl = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (ll >> U64(32)) + (lh & M32) + (hl & M32)
+    high = a_hi * b_hi + (lh >> U64(32)) + (hl >> U64(32)) + (mid >> U64(32))
+    return high, (mid << U64(32)) | (ll & M32)
+
+
+def three_products(col):
+    """Schubfach's (vb, vbl, vbr) as three round-to-odd products, each of the
+    multiplier g = g1 2^63 + g0 and its own scaled significand multiplied
+    out, as the JDK's DoubleToDecimal forms them."""
+    bits = col.view(U64)
+    t = bits & U64(2**52 - 1)
+    biased = (bits >> U64(52)).astype(np.int64) & 0x7FF
+    c = np.where(biased > 0, t | U64(2**52), t)
+    q = np.maximum(biased, 1) - 1075
+    irregular = (t == 0) & (biased > 1)
+    k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
+    g1, g0, r = (array[-k - cli._G_MIN] for array in cli._pow10_multipliers())
+    h = (q + r + 2).astype(U64)
+    assert 2 <= h.min() and h.max() <= 5
+
+    def round_to_odd(cp):
+        x1 = mul_words(g0, cp)[0]
+        y1, y0 = mul_words(g1, cp)
+        z = (y0 >> U64(1)) + x1
+        return (y1 + (z >> U64(63))) | (((z & M63) + M63) >> U64(63))
+
+    cb, odd = c << U64(2), c & U64(1)
+    return (round_to_odd(cb << h),
+            round_to_odd((cb - U64(2) + irregular.astype(U64)) << h) + odd,
+            round_to_odd((cb + U64(2)) << h) - odd)
+
+
+def test_interval_ends_are_the_three_products():
+    # The kernel multiplies out g cp once and reaches g (cp +- 2^s) by adding
+    # or subtracting g 2^s word by word; every word must be the product's.
+    values = np.concatenate(list(float_sets().values()))
+    values = values[values != 0]
+    got = cli._scaled_interval(values)
+    for name, g, want in zip(("vb", "vbl", "vbr"), got, three_products(values)):
+        bad = np.flatnonzero(g != want)
+        assert not bad.size, (name, values[bad[:5]])
 
 
 @pytest.mark.parametrize("chunks", [
@@ -522,7 +573,7 @@ def test_csv_chunks_memory_budget(chunks):
     # 15.3 MB when each float cell was a 24-byte `repr` field in 65536-row
     # blocks.  With 16384-row blocks, each float column compacted once to its
     # non-zero cells and the text packed by bytes.translate, the CSV writer
-    # peaks at 5.2 MB and the JSON writer, a column at a time, at 4.5 MB.
+    # peaks at 5.6 MB and the JSON writer, a column at a time, at 4.9 MB.
     pmf = loss_pmf(ModelConfig(10**6, 0.5, 0.3))
     columns = {"l": np.arange(pmf.n + 1), "mass": pmf.mass,
                "log_mass": pmf.log_mass}
@@ -533,6 +584,27 @@ def test_csv_chunks_memory_budget(chunks):
 
     list(cli._csv_chunks({"x": pmf.log_mass[:10]}, {}))  # builds the tables
     assert traced_peak(write) <= 7.0e6
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pmf", "--rho", "-0.26", "--n", str(MULTI_BLOCK_ROWS - 1)], id="pmf"),
+    pytest.param(["sample", "--rho", "-0.26", "--n", "100", "--count",
+                  str(MULTI_BLOCK_ROWS), "--seed", "3"], id="sample"),
+    pytest.param(["scan", "--n", "100", "--points", "21"], id="scan"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_and_file_get_the_same_bytes(tmp_path, capsys, argv, fmt):
+    # One formatter, two sinks: stdout takes the file's bytes decoded.
+    path = tmp_path / "out"
+    argv = [*argv, "--p", "0.4", "--format", fmt]
+    assert main([*argv, "--output", str(path)]) == 0
+    assert main(argv) == 0
+    printed, written = capsys.readouterr().out.encode(), path.read_bytes()
+    if fmt == "json":
+        # The embedded manifests differ in their timestamps alone.
+        printed, written = (re.sub(rb'"timestamp": "[^"]*"', b"", text)
+                            for text in (printed, written))
+    assert printed == written
 
 
 @pytest.mark.parametrize("argv, keys", [

@@ -9,7 +9,11 @@ and `--seed`, plus the sampler's generator), the seed, the tool version and a
 UTC timestamp; reruns with identical flags produce byte-identical data
 payloads, with only manifest timestamps differing.
 
-Exit codes: 0 success, 2 argument or domain error (including a size too
+Every check on a command's input runs before its output is opened.  `sample`
+then draws its rows a block at a time as it writes them, so its memory does
+not grow with `--count`; the other commands compute their result first.
+
+Exit codes: 0 success, 2 argument or domain error (including an `--n` too
 large to allocate), 3 I/O error: an output file or sidecar that cannot be
 written, or a stdout or stderr that is closed or full.
 """
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import functools
+import itertools
 import json
 import os
 import sys
@@ -30,16 +35,18 @@ from . import __version__
 from .core_model import ModelConfig, calibrate, rho_bounds
 from .distribution import loss_pmf
 from .metrics import GridSpec, risk_report, scan_rho
-from .oracle import GENERATOR_NAME, sample
+from .oracle import GENERATOR_NAME, sampler
 
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
-# Both writers format this many rows of a column at a time, so their memory
-# does not grow with the row count.  A block's byte matrix takes at most 44
-# bytes per float cell and 20 per int64 cell, separator included, and each
-# uint64 temporary of the float kernel 128 KB.  The 10**6-row pmf peaks at
-# 5.6 MB traced as CSV and 4.9 MB as JSON; 65536-row blocks took 20.5 MB as
-# CSV and were slower.
+# The rows of a table's block: its source computes them (pmf's `l`, sample's
+# draws and index) or slices them this many at a time, and both writers format
+# a block at once, so neither memory grows with the row count.  A block's byte
+# matrix takes at most 44 bytes per float cell and 20 per int64 cell,
+# separator included, and each uint64 temporary of the float kernel 128 KB.
+# Writing the 10**6-row pmf peaks at 5.0 MB traced as CSV and 4.6 MB as JSON,
+# and 10**6 draws at 1.0 MB as CSV; 65536-row blocks took 20.5 MB for the pmf
+# as CSV and were slower.
 CSV_BLOCK_ROWS = 16384
 
 # Parsed attributes that are not run parameters: the subcommand and its
@@ -311,10 +318,10 @@ def _csv_block(cols: list, end: bytes) -> bytes:
     of NUL-padded fields (integer digits by integer division, float digits
     from the Schubfach kernel's shortest decimal, laid out as `repr` lays
     them out), and dropping the NULs from them and the separator columns,
-    concatenated, leaves the bytes."""
+    concatenated, leaves the bytes.  A column may be given as a list."""
     n = len(cols[0])
     parts = []
-    for col in cols:
+    for col in map(np.asarray, cols):
         if col.dtype == np.int64 and (col >= 0).all():
             parts.append(_int_field(col))
         elif col.dtype == np.float64 and np.isfinite(col).all():
@@ -327,60 +334,59 @@ def _csv_block(cols: list, end: bytes) -> bytes:
     return np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
 
 
-def _blocks(cols: list, end: bytes):
-    """Yield `_csv_block`s of equal-length columns, CSV_BLOCK_ROWS rows each."""
-    for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
-        yield _csv_block([col[start:start + CSV_BLOCK_ROWS] for col in cols], end)
-
-
-def _csv_chunks(columns: dict, extras: dict):
-    """Yield the CSV bytes: header, rows in blocks, then `# key = value`
-    lines."""
-    yield (",".join(columns) + "\n").encode()
-    yield from _blocks([np.asarray(col) for col in columns.values()], b"\n")
+def _csv_chunks(names: tuple, blocks, extras: dict):
+    """Yield the CSV bytes: header, one `_csv_block` per row block of
+    `blocks(names)`, then `# key = value` lines."""
+    yield (",".join(names) + "\n").encode()
+    for cols in blocks(names):
+        yield _csv_block(cols, b"\n")
     for key, value in extras.items():
         yield f"# {key} = {'' if value is None else value}\n".encode()
 
 
-def _json_chunks(columns: dict, extras: dict, manifest: str):
+def _json_chunks(names: tuple, blocks, extras: dict, manifest: str):
     """Yield `json.dumps({"data": {**columns, **extras}, "manifest": ...},
     sort_keys=True)` and a newline as bytes, a column a block at a time, its
     values `_csv_block`'s `repr` cells, as `json.dumps` prints them.  Those
     are the cells of int64 >= 0 and finite float64 columns; `_csv_block`
     refuses any other, so no `nan` reaches JSON, which spells it `NaN`.
+
+    The keys are sorted, so each column is a pass of its own over
+    `blocks((key,))`, and a table asked for one column computes only that.
     """
-    data = {**columns, **extras}
     yield b'{"data": {'
-    for i, key in enumerate(sorted(data)):
+    for i, key in enumerate(sorted({*names, *extras})):
         yield ((", " if i else "") + json.dumps(key) + ": ").encode()
         if key in extras:
             yield json.dumps(extras[key], sort_keys=True).encode()
             continue
         text = b"["  # one block behind, so the last one's `, ` can be cut
-        for block in _blocks([np.asarray(columns[key])], b", "):
+        for cols in blocks((key,)):
             yield text
-            text = block
+            text = _csv_block(cols, b", ")
         yield text.removesuffix(b", ") + b"]"
     yield ('}, "manifest": ' + manifest + "}\n").encode()
 
 
-def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
+def _emit(names: tuple, blocks, extras: dict, manifest: str, fmt: str,
           output: str | None) -> None:
     """Write one result table as CSV or JSON with its run manifest.
 
+    The table is a command's (names, blocks, extras), as described under
+    "subcommands" below; its rows are computed as they are written.
     `manifest` is the manifest's JSON text, written as given.  JSON embeds it
     next to `data` (columns and extras).  CSV puts it in a sidecar
     `<file>.manifest.json`, or on stderr when the rows go to stdout.  The
     formatters yield bytes: a file takes them through a binary handle, and
-    stdout, which may be any text stream, takes them decoded.  When a
-    file write fails, each file this call opened that is a regular file, not
-    a symlink or a device, is removed before the error is re-raised, so no
-    partial output or output without its manifest is left.
+    stdout, which may be any text stream, takes them decoded.  When writing a
+    file fails or is interrupted, each file this call opened that is a
+    regular file, not a symlink or a device, is removed before the error is
+    re-raised, so no partial output or output without its manifest is left.
     """
     if fmt == "json":
-        chunks, sidecar = _json_chunks(columns, extras, manifest), None
+        chunks, sidecar = _json_chunks(names, blocks, extras, manifest), None
     else:
-        chunks, sidecar = _csv_chunks(columns, extras), manifest + "\n"
+        chunks, sidecar = _csv_chunks(names, blocks, extras), manifest + "\n"
     if output is None:
         sys.stdout.writelines(chunk.decode() for chunk in chunks)
         if sidecar is not None:
@@ -394,7 +400,7 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
         if sidecar is not None:
             with open(path + ".manifest.json", "w", encoding="utf-8") as side:
                 side.write(sidecar)
-    except OSError:
+    except BaseException:
         # A name is bound only once its open succeeded.
         for fh in (rows, side):
             if fh and os.path.isfile(fh.name) and not os.path.islink(fh.name):
@@ -404,9 +410,20 @@ def _emit(columns: dict, extras: dict, manifest: str, fmt: str,
 
 # --- subcommands --------------------------------------------------------------
 #
-# Each table command computes its result and returns (columns, extras): an
-# ordered dict of equal-length columns and a dict of scalars, for _emit.
-# calibrate prints its text report itself and returns None.
+# Each table command checks its input, computes what its rows need, and
+# returns (names, blocks, extras) for _emit: its column names in order, a
+# function that takes some of those names and yields row blocks, each a list
+# of equal-length columns in the order asked for, and a dict of scalars.  A
+# table's rows may be computed as they are written, so every check that can
+# refuse the input runs before the command returns, and no output file is
+# opened for input that is refused.  calibrate prints its text report itself
+# and returns None.
+
+
+def _row_ranges(rows: int):
+    """(start, stop) of each block of CSV_BLOCK_ROWS rows, the last shorter."""
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        yield start, min(start + CSV_BLOCK_ROWS, rows)
 
 
 def _cmd_calibrate(args) -> None:
@@ -423,12 +440,19 @@ def _cmd_calibrate(args) -> None:
 
 def _cmd_pmf(args):
     pmf = loss_pmf(ModelConfig(n_credits=args.n, p=args.p, rho=args.rho))
-    return {"l": np.arange(pmf.n + 1), "mass": pmf.mass, "log_mass": pmf.log_mass}, {}
+    columns = {"mass": pmf.mass, "log_mass": pmf.log_mass}
+
+    def blocks(names):
+        for start, stop in _row_ranges(pmf.n + 1):
+            yield [np.arange(start, stop) if name == "l" else columns[name][start:stop]
+                   for name in names]
+
+    return ("l", "mass", "log_mass"), blocks, {}
 
 
 def _cmd_metrics(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
-    return {}, asdict(risk_report(loss_pmf(cfg), level=args.level))
+    return (), None, asdict(risk_report(loss_pmf(cfg), level=args.level))
 
 
 def _cmd_scan(args):
@@ -448,15 +472,23 @@ def _cmd_scan(args):
         "mean": [rep.mean for rep in reports],
         "variance": [rep.variance for rep in reports],
     }
-    return columns, {"rho_star": result.rho_star, "jump_size": result.jump_size}
+    return (tuple(columns), lambda names: [[columns[name] for name in names]],
+            {"rho_star": result.rho_star, "jump_size": result.jump_size})
 
 
 def _cmd_sample(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
-    draws = sample(cfg, args.count, args.seed)
-    columns = {"draw_index": np.arange(len(draws)), "l0": draws[:, 0],
-               "loss": draws[:, 1]}
-    return columns, {}
+    draws = sampler(cfg, args.count, args.seed)
+
+    def blocks(names):
+        # draw_index alone draws nothing, and l0 alone no loss.
+        drawn = (draws(CSV_BLOCK_ROWS, losses="loss" in names)
+                 if {"l0", "loss"} & set(names) else itertools.repeat((None, None)))
+        for (start, stop), (l0, loss) in zip(_row_ranges(args.count), drawn):
+            cells = {"draw_index": np.arange(start, stop), "l0": l0, "loss": loss}
+            yield [cells[name] for name in names]
+
+    return ("draw_index", "l0", "loss"), blocks, {}
 
 
 # --- parser -------------------------------------------------------------------
@@ -559,7 +591,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return 0
     except (ValueError, MemoryError) as exc:
-        # A MemoryError comes from an N or --count too large to allocate.
+        # A MemoryError comes from an N too large to allocate.
         code, message = 2, f"error: {exc}\n"
     except OSError as exc:
         code, message = 3, f"error: cannot write output: {exc}\n"

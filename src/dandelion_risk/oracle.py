@@ -41,6 +41,8 @@ MAX_FIT_N = 10
 
 # Recorded in sampler output manifests; the seed fully determines the stream.
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
+# Rows `sample` draws at a time.
+SAMPLE_BLOCK_ROWS = 65536
 
 
 @functools.lru_cache(maxsize=1)
@@ -112,13 +114,23 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
     )
 
 
-def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
-    """Draw (l0, loss) pairs by the conditional factorization of the joint law.
+def sampler(cfg: ModelConfig, count: int, seed: int):
+    """Check every input of `sample(cfg, count, seed)` now and return
+    `draws(block_rows, losses=True)`, a generator function of its rows.
 
-    L0 ~ Bernoulli(p); given L0, the N leaves are i.i.d. Bernoulli at the
-    matching conditional rate, so the loss is drawn as a single Binomial per
-    row.  Returns an int64 array of shape (count, 2); the seed fully
-    determines the output (generator: GENERATOR_NAME).
+    Each call of `draws` yields the rows again, in blocks of `block_rows`:
+    (l0, loss), two int64 arrays, or (l0, None) when `losses` is false, which
+    draws no loss.  The blocks, concatenated, are `sample`'s array.  The
+    checks run here, not in `draws`, whose body runs only when its first
+    block is asked for, so a caller can refuse bad input before it writes.
+
+    `sample` once drew its l0 column with `random(count)` and then its losses
+    with one `binomial` call on the same PCG64 stream.  `random` takes one
+    64-bit word a double, so the losses start `count` words in: here a second
+    PCG64 on the seed, advanced by `count`, draws them block by block
+    (O'Neill 2014, "PCG: a family of simple fast space-efficient
+    statistically good algorithms").  The split rests on numpy's word use; a
+    test pins it against the one-call form.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise AdmissibilityError(f"count={count!r} must be an integer >= 1")
@@ -126,14 +138,39 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
     if cfg.n_credits > int64_max:
         raise AdmissibilityError(f"n_credits={cfg.n_credits} exceeds the sampler "
                                  f"bound {int64_max} (int64)")
-    rate_given_sound, rate_given_default = conditional_probs(cfg)
-    rng = np.random.default_rng(seed)
-    draws = np.empty((count, 2), np.int64)
-    l0 = draws[:, 0]
-    np.less(rng.random(count), cfg.p, out=l0)
-    rates = np.array([rate_given_sound, rate_given_default]).take(l0)
-    draws[:, 1] = rng.binomial(cfg.n_credits, rates)
+    rates = np.array(conditional_probs(cfg))  # given L0 = 0, given L0 = 1
+    seeds = np.random.SeedSequence(seed)  # refuses a negative seed
+
+    def draws(block_rows: int, losses: bool = True):
+        uniform = np.random.Generator(np.random.PCG64(seeds))
+        if losses:
+            binomial = np.random.Generator(np.random.PCG64(seeds).advance(count))
+        for start in range(0, count, block_rows):
+            l0 = np.less(uniform.random(min(block_rows, count - start)), cfg.p)
+            l0 = l0.astype(np.int64)
+            yield l0, binomial.binomial(cfg.n_credits, rates.take(l0)) if losses else None
+
     return draws
+
+
+def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
+    """Draw (l0, loss) pairs by the conditional factorization of the joint law.
+
+    L0 ~ Bernoulli(p); given L0, the N leaves are i.i.d. Bernoulli at the
+    matching conditional rate, so the loss is drawn as a single Binomial per
+    row.  Returns an int64 array of shape (count, 2); the seed fully
+    determines the output (generator: GENERATOR_NAME).  The rows are those of
+    `sampler(cfg, count, seed)`, drawn a block at a time, so only the result
+    grows with `count`.
+    """
+    draws = sampler(cfg, count, seed)
+    out = np.empty((count, 2), np.int64)
+    start = 0
+    for l0, loss in draws(SAMPLE_BLOCK_ROWS):
+        rows = slice(start, start + len(l0))
+        out[rows, 0], out[rows, 1] = l0, loss
+        start = rows.stop
+    return out
 
 
 # --- maximum-entropy fit -----------------------------------------------------

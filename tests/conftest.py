@@ -8,7 +8,9 @@ exceptions pin the bytes of the package's loss kernel, not its mathematics:
 `oracle_log_binom_table` takes the same `math.lgamma` values in three full
 passes, with no shared prefix, and `oracle_loss_pmf_full` starts from the
 package's own two normalised binomial lines, c + l*logit r for each state of
-the central node, and applies them to every entry.
+the central node, and applies them to every entry; and `oracle_sample` takes
+the package's conditional rates, since it pins how the package's sampler uses
+numpy's random stream, not the rates.
 The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 `tests/test_distribution.py`.
 """
@@ -20,7 +22,7 @@ import tracemalloc
 import numpy as np
 from scipy import stats
 
-from dandelion_risk.core_model import _branch_lines
+from dandelion_risk.core_model import _branch_lines, conditional_probs
 
 
 def lower_bound(p: float) -> float:
@@ -89,6 +91,19 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     l = np.arange(n + 1, dtype=np.float64)
     log_mass = oracle_log_binom_table(n) + np.logaddexp(c0 + slope0 * l, c1 + slope1 * l)
     return log_mass, np.exp(log_mass)
+
+
+def oracle_sample(cfg, count: int, seed: int) -> np.ndarray:
+    """`sample`'s (count, 2) int64 draws in one call per column: l0 from
+    `random(count)`, then every loss from one `binomial` call on the same
+    generator.  The package draws the losses from a second generator
+    advanced past the first's `count` words, in blocks; both must agree."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((count, 2), np.int64)
+    l0 = draws[:, 0]
+    np.less(rng.random(count), cfg.p, out=l0)
+    draws[:, 1] = rng.binomial(cfg.n_credits, np.array(conditional_probs(cfg)).take(l0))
+    return draws
 
 
 def traced_peak(fn, *args):

@@ -25,7 +25,7 @@ from dandelion_risk import (GridSpec, ModelConfig, calibrate, loss_pmf, rho_boun
 from dandelion_risk import cli
 from dandelion_risk.cli import CSV_BLOCK_ROWS, build_parser, main
 
-from conftest import traced_peak
+from conftest import oracle_sample, traced_peak
 
 # More rows than two CSV blocks, ending part-way through the third.
 MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
@@ -150,8 +150,8 @@ class TestPmfCommand:
         assert sorted(os.listdir(tmp_path)) == ["out.csv.manifest.json"]
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, capsys):
-        def header_then_full(columns, extras):
-            yield (",".join(columns) + "\n").encode()
+        def header_then_full(names, blocks, extras):
+            yield (",".join(names) + "\n").encode()
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         target = tmp_path / "target.csv"
@@ -166,6 +166,19 @@ class TestPmfCommand:
         # The regular file is removed; a symlink is never removed.
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
         assert (tmp_path / "link.csv").is_symlink()
+
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path):
+        # `sample` computes its rows while its file is open, so any error
+        # there, not only a failed write, removes what was written.
+        def header_then_interrupt(names, blocks, extras):
+            yield (",".join(names) + "\n").encode()
+            raise KeyboardInterrupt
+
+        with mock.patch.object(cli, "_csv_chunks", header_then_interrupt), \
+                pytest.raises(KeyboardInterrupt):
+            main(["pmf", "--p", "0.4", "--rho", "0.26", "--n", "10",
+                  "--output", str(tmp_path / "out.csv")])
+        assert os.listdir(tmp_path) == []
 
     def test_csv_rows_across_blocks(self, capsys):
         n = MULTI_BLOCK_ROWS - 1
@@ -361,7 +374,7 @@ class TestSampleCommand:
         code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "-0.26", "--n", "100",
                            "--count", str(count), "--seed", "3")
         assert code == 0
-        draws = sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
+        draws = oracle_sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
         expected = ["draw_index,l0,loss"] + [
             f"{i},{l0},{loss}" for i, (l0, loss) in enumerate(draws.tolist())
         ]
@@ -372,7 +385,7 @@ class TestSampleCommand:
         code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "-0.26", "--n", "100",
                            "--count", str(count), "--seed", "3", "--format", "json")
         assert code == 0
-        draws = sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
+        draws = oracle_sample(ModelConfig(n_credits=100, p=0.4, rho=-0.26), count, 3)
         data = {"draw_index": list(range(count)), "l0": draws[:, 0].tolist(),
                 "loss": draws[:, 1].tolist()}
         assert_json_document(out, data)
@@ -381,6 +394,19 @@ class TestSampleCommand:
         code, _, _ = run(capsys, "sample", "--p", "0.4", "--rho", "0.1", "--n", "10",
                          "--count", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--count=0", f"--n={2**63}"],
+                             ids=["seed", "count", "n"])
+    def test_refused_input_writes_no_file(self, tmp_path, capsys, flag, fmt):
+        # The rows are drawn as they are written, so every check on the input
+        # runs before the output file is opened.
+        code, _, err = run(capsys, "sample", "--p", "0.4", "--rho", "0.1", "--n", "10",
+                           "--count", "5", flag, "--format", fmt,
+                           "-o", str(tmp_path / "out"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_n_past_int64_exits_2(self, capsys):
         code, _, err = run(capsys, "sample", "--p", "0.4", "--rho", "0.1",
@@ -409,6 +435,40 @@ class TestSampleCommand:
         assert 0.5 * np.abs(empirical - mass).sum() < 0.005
 
 
+# Counts on both sides of one and two block edges, and one of many blocks.
+SPLIT_COUNTS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                MULTI_BLOCK_ROWS, 300001]
+
+
+@pytest.mark.parametrize("n, p, rho", [(100, 0.4, -0.26), (7, 0.02, 0.5),
+                                       (10**9, 0.47, 0.31), (2**63 - 1, 0.4, 0.1)])
+def test_sample_stream_split_is_the_one_call_form(tmp_path, capsys, n, p, rho):
+    # `sample` and the CLI draw l0 and the losses from two generators, a
+    # block at a time; the losses' generator starts `count` words into the
+    # seed's stream, where the one-call form's `binomial` starts.  That rests
+    # on `Generator.random` taking one PCG64 word a double, which a numpy
+    # upgrade could change.
+    cfg = ModelConfig(n_credits=n, p=p, rho=rho)
+    argv = ["sample", "--p", repr(p), f"--rho={rho!r}", "--n", str(n)]
+    for count in SPLIT_COUNTS:
+        seed = count % 1000
+        draws = oracle_sample(cfg, count, seed)
+        got = sample(cfg, count, seed)
+        assert got.dtype == np.int64 and np.array_equal(got, draws), count
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"draws.{fmt}"
+            assert main([*argv, "--count", str(count), "--seed", str(seed),
+                         "--format", fmt, "-o", str(path)]) == 0
+            written = path.read_text()
+            if fmt == "csv":
+                assert written == "draw_index,l0,loss\n" + "".join(
+                    f"{i},{l0},{loss}\n" for i, (l0, loss) in enumerate(draws.tolist()))
+            else:
+                assert_json_document(written, {
+                    "draw_index": list(range(count)), "l0": draws[:, 0].tolist(),
+                    "loss": draws[:, 1].tolist()})
+
+
 INT64 = np.iinfo(np.int64)
 # The cells a CLI column holds: int64 >= 0 and finite float64.  Signed zeros,
 # the smallest subnormal, both sides of the switches to exponent notation
@@ -424,6 +484,18 @@ CELLS = {
     "float": st.one_of(st.sampled_from(EDGE_FLOATS),
                        st.floats(width=64, allow_nan=False, allow_infinity=False)),
 }
+
+
+def whole_columns(columns: dict, block_rows: int = CSV_BLOCK_ROWS) -> tuple:
+    """A table's (names, blocks) over columns held whole, sliced into blocks
+    of `block_rows` rows."""
+    rows = len(next(iter(columns.values())))
+
+    def blocks(names):
+        for start in range(0, rows, block_rows):
+            yield [columns[name][start:start + block_rows] for name in names]
+
+    return tuple(columns), blocks
 
 
 @st.composite
@@ -456,9 +528,9 @@ def test_csv_chunks_are_the_per_cell_repr(table, block_rows):
     expected_json = json.dumps({"data": {**values, **extras}, "manifest": {}},
                                sort_keys=True) + "\n"
     # Small blocks put the row count on either side of a block boundary.
-    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
-        assert b"".join(cli._csv_chunks(columns, extras)).decode() == expected
-        assert b"".join(cli._json_chunks(columns, extras, "{}")).decode() == expected_json
+    names, blocks = whole_columns(columns, block_rows)
+    assert b"".join(cli._csv_chunks(names, blocks, extras)).decode() == expected
+    assert b"".join(cli._json_chunks(names, blocks, extras, "{}")).decode() == expected_json
 
 
 def test_csv_chunks_refuse_other_dtypes():
@@ -466,11 +538,11 @@ def test_csv_chunks_refuse_other_dtypes():
     for cells in ([True, False], [1.0, float("nan")], [float("inf"), 0.0],
                   [0.0, -float("inf")], [0, -1], [INT64.min, 5]):
         col = np.array(cells)
-        columns = {"x": np.arange(len(cells)), "y": col}
+        table = whole_columns({"x": np.arange(len(cells)), "y": col})
         with pytest.raises(TypeError, match=str(col.dtype)):
-            list(cli._csv_chunks(columns, {}))
+            list(cli._csv_chunks(*table, {}))
         with pytest.raises(TypeError, match=str(col.dtype)):
-            list(cli._json_chunks(columns, {}, "{}"))
+            list(cli._json_chunks(*table, {}, "{}"))
 
 
 def float_sets():
@@ -505,7 +577,7 @@ def test_csv_float_cells_are_their_repr():
     # Deterministic counterpart of the hypothesis test above, over ~2.6e6
     # cells chosen where shortest round-trip printing is hard.
     for name, values in float_sets().items():
-        got = b"".join(cli._csv_chunks({"x": values}, {})).decode()
+        got = b"".join(cli._csv_chunks(*whole_columns({"x": values}), {})).decode()
         expected = "x\n" + "\n".join(map(repr, values.tolist())) + "\n"
         if got != expected:
             mismatch = [(g, e) for g, e in zip(got.split(), expected.split())
@@ -564,9 +636,75 @@ def test_interval_ends_are_the_three_products():
         assert not bad.size, (name, values[bad[:5]])
 
 
+def kernel_words(values, tables):
+    """The words `_scaled_interval` hands `_round_to_odd` for v and for the
+    upper and lower ends of its rounding interval, in that order, with the
+    multiplier tables (g1, g0, r) in place of its own."""
+    words = []
+
+    def record(*args):
+        words.append(args)
+        return round_to_odd(*args)
+
+    round_to_odd = cli._round_to_odd
+    with mock.patch.object(cli, "_round_to_odd", record), \
+            mock.patch.object(cli, "_pow10_multipliers", lambda: tables):
+        cli._scaled_interval(values)
+    return words
+
+
+def exact_words(values, tables):
+    """The same words from Python integers: for each scaled value w (cp, cp
+    plus 2^(h+1), cp less 2^(h+1), or 2^h at an irregular spacing), the high
+    word of g0 w and both words of g1 w; and each float's h."""
+    bits = values.view(U64)
+    t = bits & U64(2**52 - 1)
+    biased = (bits >> U64(52)).astype(np.int64) & 0x7FF
+    c = np.where(biased > 0, t | U64(2**52), t).astype(object)
+    q = np.maximum(biased, 1) - 1075
+    irregular = (t == 0) & (biased > 1)
+    k = (q * 661971961083 - np.where(irregular, 274743187321, 0)) >> 41
+    g1, g0, r = (array[-k - cli._G_MIN] for array in tables)
+    g1, g0, h = g1.astype(object), g0.astype(object), q + r + 2
+    one = np.ones_like(c)  # Python ints, which do not wrap
+    cp = c << (h + 2)
+    words = []
+    for w in (cp, cp + (one << (h + 1)), cp - (one << (h + 1 - irregular))):
+        y = g1 * w
+        words.append(tuple(np.array(word.tolist(), U64)
+                           for word in (g0 * w >> 64, y & (2**64 - 1), y >> 64)))
+    return words, h
+
+
+@pytest.mark.parametrize("source", ["float_sets", "random_words"])
+def test_interval_words_are_exact(source):
+    # Deleting the low word's carry or borrow from any shifted sum changes a
+    # word here, though it rarely changes the round-to-odd result that the
+    # tests above read.  The real multipliers over the float sets, and
+    # random 64-bit multiplier words over random floats at each h in 2..5.
+    rng = np.random.default_rng(3131)
+    if source == "float_sets":
+        values = np.concatenate(list(float_sets().values()))
+        values = [values[values != 0]]
+        tables = [cli._pow10_multipliers()]
+    else:
+        values = [rng.integers(0, 2**64, 20_000, U64).view(np.float64) for _ in range(3)]
+        values = [v[np.isfinite(v) & (v != 0)] for v in values]
+        _, _, r = cli._pow10_multipliers()
+        tables = [(rng.integers(0, 2**64, r.size, U64), rng.integers(0, 2**64, r.size, U64), r)
+                  for _ in values]
+    for col, table in zip(values, tables):
+        want, hs = exact_words(col, table)
+        assert set(hs.tolist()) == {2, 3, 4, 5}
+        for name, got, end in zip(("vb", "vbr", "vbl"), kernel_words(col, table), want):
+            for label, g, w in zip(("x1", "y0", "y1"), got, end):
+                bad = np.flatnonzero(g != w)
+                assert not bad.size, (name, label, col[bad[:5]])
+
+
 @pytest.mark.parametrize("chunks", [
-    pytest.param(lambda columns: cli._csv_chunks(columns, {}), id="csv"),
-    pytest.param(lambda columns: cli._json_chunks(columns, {}, "{}"), id="json"),
+    pytest.param(lambda table: cli._csv_chunks(*table, {}), id="csv"),
+    pytest.param(lambda table: cli._json_chunks(*table, {}, "{}"), id="json"),
 ])
 def test_csv_chunks_memory_budget(chunks):
     # Consuming the CSV of the N = 10**6 pmf's columns held a traced peak of
@@ -575,15 +713,41 @@ def test_csv_chunks_memory_budget(chunks):
     # non-zero cells and the text packed by bytes.translate, the CSV writer
     # peaks at 5.6 MB and the JSON writer, a column at a time, at 4.9 MB.
     pmf = loss_pmf(ModelConfig(10**6, 0.5, 0.3))
-    columns = {"l": np.arange(pmf.n + 1), "mass": pmf.mass,
-               "log_mass": pmf.log_mass}
+    table = whole_columns({"l": np.arange(pmf.n + 1), "mass": pmf.mass,
+                           "log_mass": pmf.log_mass})
 
     def write():
-        for _ in chunks(columns):
+        for _ in chunks(table):
             pass
 
-    list(cli._csv_chunks({"x": pmf.log_mass[:10]}, {}))  # builds the tables
+    cli._csv_block([pmf.log_mass[:10]], b"\n")  # builds the tables
     assert traced_peak(write) <= 7.0e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pmf_export_memory_budget(tmp_path, fmt):
+    # `pmf` hands the writer slices of its mass columns and a per-block `l`,
+    # so writing the N = 10**6 table peaks at 5.0 MB traced as CSV and 4.6 MB
+    # as JSON; a whole `l` column would add 8 MB.
+    args = build_parser().parse_args(["pmf", "--p", "0.5", "--rho", "0.3",
+                                      "--n", str(10**6), "--format", fmt])
+    table = args.func(args)
+    cli._csv_block([np.array([0.5])], b"\n")  # builds the tables
+    assert traced_peak(cli._emit, *table, "{}", fmt, str(tmp_path / "out")) <= 7.0e6
+
+
+def test_sample_csv_memory_budget(tmp_path):
+    # Drawn whole, 10**6 draws held 32.1 MB traced: the (count, 2) draws, the
+    # uniforms, the rates and an index column.  Drawn and written a block at
+    # a time, the export peaks at 1.0 MB.
+    argv = ["sample", "--p", "0.4", "--rho", "-0.26", "--n", "100", "--seed", "5",
+            "-o", str(tmp_path / "draws.csv")]
+
+    def export(count):
+        assert main([*argv, "--count", str(count)]) == 0
+
+    export(1000)  # builds the float kernel's tables and numpy's caches
+    assert traced_peak(export, 10**6) <= 3.0e6
 
 
 @pytest.mark.parametrize("argv", [

@@ -277,21 +277,40 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
 def peak_indices(mass: np.ndarray) -> list[int]:
     """Local maxima of a pmf vector under a deterministic plateau rule.
 
-    Index l is a peak when its mass is >= both neighbours with strict
-    inequality on at least one side; a flat run of equal masses counts once,
-    at its leftmost index.  Missing neighbours beyond the support ends impose
-    no constraint, so a strictly decreasing pmf has its single peak at 0.
+    The vector splits into runs of equal masses; NaN equals nothing, so each
+    NaN is a run of its own.  A run is a peak when the masses just outside
+    it, where they exist, are both strictly smaller, and it is reported at
+    its leftmost index: in [0.1, 0.2, 0.2, 0.4, 0.1] only 3 is a peak.
+    Missing neighbours beyond the support ends impose no constraint, so a
+    strictly decreasing pmf has its single peak at 0.
     """
     mass = np.asarray(mass)
-    # A flat run starts at index 0 and wherever the mass differs from the one
-    # before it; NaN differs from everything, so each NaN is a run of its own.
-    new_run = np.ones(len(mass), dtype=bool)
-    new_run[1:] = mass[1:] != mass[:-1]
-    starts = np.flatnonzero(new_run)
-    runs = mass[starts]
-    above_left = np.ones(len(runs), dtype=bool)
-    above_left[1:] = runs[1:] > runs[:-1]
-    above_right = np.ones(len(runs), dtype=bool)
-    above_right[:-1] = runs[:-1] > runs[1:]
-    # tolist() gives Python ints, so a report's repr and JSON show plain ints.
-    return starts[above_left & above_right].tolist()
+    n = len(mass) - 1
+    if n < 1:
+        return list(range(n + 1))
+    # Pair k is (mass[k], mass[k+1]).  A peak before the last index starts
+    # at 0 or where the pairs stop rising; it is one when the pair from it
+    # falls, or neither rises nor falls (a tie or a NaN) and its run ends at
+    # the last index or in a fall.  bytes.find scans for the few starts.
+    up = mass[1:] > mass[:-1]
+    down = mass[1:] < mass[:-1]
+    ends = (up[:-1] > up[1:]).tobytes()
+    starts = [] if up[0] else [0]
+    k = ends.find(1)
+    while k >= 0:
+        starts.append(k + 1)
+        k = ends.find(1, k + 1)
+    peaks = []
+    differs = None
+    for i in starts:
+        if not down[i]:
+            # The run ends at the first pair from i on that differs.
+            if differs is None:
+                differs = (mass[1:] != mass[:-1]).tobytes()
+            j = differs.find(1, i)
+            if j >= 0 and not down[j]:
+                continue
+        peaks.append(i)
+    if up[-1]:
+        peaks.append(n)
+    return peaks

@@ -116,25 +116,38 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     return var
 
 
-def mode_of(pmf: LossPmf) -> tuple[int, float]:
-    """Argmax of the pmf and its probability; ties break to the smallest index."""
+def _peaks(pmf: LossPmf) -> tuple[int, ...]:
+    """`peak_indices` of the span, as indices of the whole support."""
     a, b = pmf.span
-    mode = a + int(pmf.mass[a:b].argmax())
+    return tuple(a + i for i in peak_indices(pmf.mass[a:b]))
+
+
+def mode_of(pmf: LossPmf) -> tuple[int, float]:
+    """Argmax of the pmf and its probability; ties break to the smallest index.
+
+    The smallest index of the largest mass starts a run of equal masses whose
+    outside neighbours are both smaller, so it is a peak, and the first of the
+    highest peaks, which `max` returns, is `argmax` bit for bit.
+    """
+    mode = max(_peaks(pmf), key=pmf.mass.__getitem__)
     return mode, float(pmf.mass[mode])
 
 
 def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
-    """Bundle VaR, mode, moments, and peak locations for one distribution."""
+    """Bundle VaR, mode, moments, and peak locations for one distribution.
+
+    The mode is `mode_of`'s, the smallest index of the largest mass, taken
+    from the peaks as the first of the highest.
+    """
     var_value = value_at_risk(pmf, level)
-    mode, mode_prob = mode_of(pmf)
+    peaks = _peaks(pmf)
+    mode = max(peaks, key=pmf.mass.__getitem__)
     mean, variance = loss_moments(pmf)
-    a, b = pmf.span
-    peaks = tuple(a + i for i in peak_indices(pmf.mass[a:b]))
     return RiskReport(
         var_level=level,
         var_value=var_value,
         mode=mode,
-        mode_prob=mode_prob,
+        mode_prob=float(pmf.mass[mode]),
         mean=mean,
         variance=variance,
         peaks=peaks,

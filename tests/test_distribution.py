@@ -495,9 +495,21 @@ class TestPeakIndices:
         assert peak_indices(np.full(5, 0.2)) == [0]
 
     # A small alphabet makes plateaus, ties at either end and NaN/inf runs
-    # common, where the run bookkeeping is easiest to get wrong.
-    @given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, np.inf, -np.inf, np.nan]),
+    # common, where the run bookkeeping is easiest to get wrong; -0.0 equals
+    # 0.0, and 5e-324 is the smallest mass above it.
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.1, 0.2, 0.3,
+                                     np.inf, -np.inf, np.nan]),
                     min_size=0, max_size=40))
+    # A pair with a NaN neither rises nor falls, yet it ends a run of equal
+    # masses, which is then no peak.
+    @example([2.0, 3.0, 3.0, np.nan, 3.0])
+    @example([3.0, 3.0, np.nan, 2.0])
+    @example([1.0, 2.0, np.nan, 2.0, 1.0, 2.0, 1.0])
+    # A flat run at each end, and a single entry.
+    @example([0.2, 0.2, 0.1, 0.3, 0.3])
+    @example([0.3, 0.3, 0.1, 0.2, 0.2])
+    @example([0.1])
+    @example([np.nan])
     @settings(max_examples=500, deadline=None)
     def test_matches_scalar_walk_oracle(self, values):
         mass = np.array(values, dtype=np.float64)

@@ -263,6 +263,9 @@ class TestSpanReading:
     # Two humps with a zero gap and zero-mass entries at the span ends.
     @example(log_mass=[-1e4, -745.5, -1.0, -2.0, -900.0, -745.2, -2.0, -1.0, -745.5, -800.0],
              levels=[0.2, 0.5, 0.8])
+    # Two humps of exactly equal masses: the mode is the first.
+    @example(log_mass=[-800.0, -2.0, -1.2, -2.0, -900.0, -2.0, -1.2, -2.0, -800.0],
+             levels=[0.5, 0.99])
     @settings(max_examples=400, deadline=None)
     def test_equals_full_support_reference(self, log_mass, levels):
         pmf = LossPmf(np.array(log_mass))
@@ -285,6 +288,10 @@ class TestSpanReading:
         # mass 0.0 above it lie between the two branches.
         (0.634, 0.690218, 99858),
         (0.3, 0.2, 100000),
+        # Mirrored humps whose top masses tie exactly (at 27 and 73, and at
+        # 28 and 73, with numpy 2.4.6 on x86-64); the mode is the first.
+        (0.5, -0.45, 100),
+        (0.5, -0.45, 101),
     ])
     def test_kernel_pmf_with_a_zero_gap_between_branches(self, p, rho, n, level):
         pmf = loss_pmf(ModelConfig(n, p, rho))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import os
 import sys
@@ -36,19 +35,9 @@ from ._text import _csv_chunks, _json_chunks
 from .core_model import ModelConfig, calibrate, rho_bounds
 from .distribution import loss_pmf
 from .metrics import GridSpec, risk_report, scan_rho
-from .oracle import GENERATOR_NAME, sampler
+from .oracle import BLOCK_ROWS, GENERATOR_NAME, sampler
 
 OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
-
-# The rows of a table's block: its source computes them (pmf's `l`, sample's
-# draws and index) or slices them this many at a time, and both writers format
-# a block at once, so neither memory grows with the row count.  A block's byte
-# matrix takes at most 44 bytes per float cell and 20 per int64 cell,
-# separator included, and each uint64 temporary of `_text`'s float kernel
-# 128 KB.  Written through `_emit`, the 10**6-row pmf peaks at 5.0 MB traced
-# as CSV and 4.6 MB as JSON, and 10**6 draws at 1.0 MB as CSV; 65536-row
-# blocks took 20.5 MB for the pmf as CSV and were slower.
-CSV_BLOCK_ROWS = 16384
 
 # Parsed attributes that are not run parameters: the subcommand and its
 # handler, where the output goes, and the seed, a top-level manifest key.
@@ -112,12 +101,6 @@ def _emit(names: tuple, blocks, extras: dict, manifest: str, fmt: str,
 # and returns None.
 
 
-def _row_ranges(rows: int):
-    """(start, stop) of each block of CSV_BLOCK_ROWS rows, the last shorter."""
-    for start in range(0, rows, CSV_BLOCK_ROWS):
-        yield start, min(start + CSV_BLOCK_ROWS, rows)
-
-
 def _cmd_calibrate(args) -> None:
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
     params = calibrate(cfg)
@@ -135,7 +118,8 @@ def _cmd_pmf(args):
     columns = {"mass": pmf.mass, "log_mass": pmf.log_mass}
 
     def blocks(names):
-        for start, stop in _row_ranges(pmf.n + 1):
+        for start in range(0, pmf.n + 1, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, pmf.n + 1)
             yield [np.arange(start, stop) if name == "l" else columns[name][start:stop]
                    for name in names]
 
@@ -170,17 +154,7 @@ def _cmd_scan(args):
 
 def _cmd_sample(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
-    draws = sampler(cfg, args.count, args.seed)
-
-    def blocks(names):
-        # draw_index alone draws nothing, and l0 alone no loss.
-        drawn = (draws(CSV_BLOCK_ROWS, losses="loss" in names)
-                 if {"l0", "loss"} & set(names) else itertools.repeat((None, None)))
-        for (start, stop), (l0, loss) in zip(_row_ranges(args.count), drawn):
-            cells = {"draw_index": np.arange(start, stop), "l0": l0, "loss": loss}
-            yield [cells[name] for name in names]
-
-    return ("draw_index", "l0", "loss"), blocks, {}
+    return ("draw_index", "l0", "loss"), sampler(cfg, args.count, args.seed), {}
 
 
 # --- parser -------------------------------------------------------------------

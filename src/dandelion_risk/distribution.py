@@ -95,7 +95,7 @@ def _logaddexp_window(gap: float, slope: float, n: int, limit: float) -> tuple[i
     return lo, max(hi, lo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossPmf:
     """Loss distribution on {0, ..., n}, stored in log space.
 
@@ -123,9 +123,9 @@ class LossPmf:
     """
 
     log_mass: np.ndarray
-    span: tuple[int, int] = field(init=False, repr=False, compare=False)
-    mass: np.ndarray = field(init=False, repr=False, compare=False)
-    total: float = field(init=False, repr=False, compare=False)
+    span: tuple[int, int] = field(init=False, repr=False)
+    mass: np.ndarray = field(init=False, repr=False)
+    total: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         lm = self.log_mass

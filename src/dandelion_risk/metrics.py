@@ -43,7 +43,7 @@ class GridSpec:
             raise AdmissibilityError(f"grid margin={self.margin!r} must be > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
     """Per-rho risk reports plus the detected mode discontinuity, if any.
 

@@ -41,8 +41,16 @@ MAX_FIT_N = 10
 
 # Recorded in sampler output manifests; the seed fully determines the stream.
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
-# Rows `sample` draws at a time.
-SAMPLE_BLOCK_ROWS = 65536
+
+# The rows of a table's block: the sampler draws them and `pmf` slices them
+# this many at a time, and both writers format a block at once, so neither
+# memory grows with the row count.  A block's byte matrix takes at most 44
+# bytes per float cell and 20 per int64 cell, separator included, and each
+# uint64 temporary of `_text`'s float kernel 128 KB.  Written through the
+# CLI, the 10**6-row pmf peaks at 5.0 MB traced as CSV and 4.6 MB as JSON,
+# and 10**6 draws at 1.0 MB as CSV; 65536-row blocks took 20.5 MB for the
+# pmf as CSV and were slower.
+BLOCK_ROWS = 16384
 
 
 @functools.lru_cache(maxsize=1)
@@ -81,7 +89,7 @@ def _state_weights(theta, n: int, shift=None) -> tuple[np.ndarray, np.ndarray, f
     return table, np.exp(exponents - shift), shift
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumerationReport:
     """Brute-force moments and loss pmf from a full joint-state sweep.
 
@@ -116,21 +124,25 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
 
 def sampler(cfg: ModelConfig, count: int, seed: int):
     """Check every input of `sample(cfg, count, seed)` now and return
-    `draws(block_rows, losses=True)`, a generator function of its rows.
+    `blocks(names)`, the block source of the table (draw_index, l0, loss).
 
-    Each call of `draws` yields the rows again, in blocks of `block_rows`:
-    (l0, loss), two int64 arrays, or (l0, None) when `losses` is false, which
-    draws no loss.  The blocks, concatenated, are `sample`'s array.  The
-    checks run here, not in `draws`, whose body runs only when its first
-    block is asked for, so a caller can refuse bad input before it writes.
+    Each call of `blocks` yields the rows again, in blocks of BLOCK_ROWS: a
+    list of int64 arrays, one per name asked for, in that order, from
+    `draw_index` (the row number), `l0` and `loss`.  A call draws only what
+    its columns need: `draw_index` alone nothing, `l0` no loss.  The l0 and
+    loss blocks, stacked, are `sample`'s array.  The checks run here, not in
+    `blocks`, whose body runs only when its first block is asked for, so a
+    caller can refuse bad input before it writes.
 
     `sample` once drew its l0 column with `random(count)` and then its losses
     with one `binomial` call on the same PCG64 stream.  `random` takes one
     64-bit word a double, so the losses start `count` words in: here a second
     PCG64 on the seed, advanced by `count`, draws them block by block
     (O'Neill 2014, "PCG: a family of simple fast space-efficient
-    statistically good algorithms").  The split rests on numpy's word use; a
-    test pins it against the one-call form.
+    statistically good algorithms").  So a call that asks for `loss` alone
+    still draws the same losses, and one that asks for `l0` alone stops
+    short of them.  The split rests on numpy's word use; a test pins it
+    against the one-call form.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise AdmissibilityError(f"count={count!r} must be an integer >= 1")
@@ -141,16 +153,22 @@ def sampler(cfg: ModelConfig, count: int, seed: int):
     rates = np.array(conditional_probs(cfg))  # given L0 = 0, given L0 = 1
     seeds = np.random.SeedSequence(seed)  # refuses a negative seed
 
-    def draws(block_rows: int, losses: bool = True):
+    def blocks(names):
         uniform = np.random.Generator(np.random.PCG64(seeds))
-        if losses:
-            binomial = np.random.Generator(np.random.PCG64(seeds).advance(count))
-        for start in range(0, count, block_rows):
-            l0 = np.less(uniform.random(min(block_rows, count - start)), cfg.p)
-            l0 = l0.astype(np.int64)
-            yield l0, binomial.binomial(cfg.n_credits, rates.take(l0)) if losses else None
+        binomial = np.random.Generator(np.random.PCG64(seeds).advance(count))
+        for start in range(0, count, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, count)
+            cells = {}
+            if "draw_index" in names:
+                cells["draw_index"] = np.arange(start, stop)
+            if "l0" in names or "loss" in names:
+                cells["l0"] = l0 = np.less(uniform.random(stop - start),
+                                           cfg.p).astype(np.int64)
+            if "loss" in names:
+                cells["loss"] = binomial.binomial(cfg.n_credits, rates.take(l0))
+            yield [cells[name] for name in names]
 
-    return draws
+    return blocks
 
 
 def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
@@ -159,17 +177,14 @@ def sample(cfg: ModelConfig, count: int, seed: int) -> np.ndarray:
     L0 ~ Bernoulli(p); given L0, the N leaves are i.i.d. Bernoulli at the
     matching conditional rate, so the loss is drawn as a single Binomial per
     row.  Returns an int64 array of shape (count, 2); the seed fully
-    determines the output (generator: GENERATOR_NAME).  The rows are those of
-    `sampler(cfg, count, seed)`, drawn a block at a time, so only the result
-    grows with `count`.
+    determines the output (generator: GENERATOR_NAME).  The rows are the
+    (l0, loss) blocks of `sampler(cfg, count, seed)`, stacked, so only the
+    result grows with `count`.
     """
-    draws = sampler(cfg, count, seed)
+    blocks = sampler(cfg, count, seed)
     out = np.empty((count, 2), np.int64)
-    start = 0
-    for l0, loss in draws(SAMPLE_BLOCK_ROWS):
-        rows = slice(start, start + len(l0))
-        out[rows, 0], out[rows, 1] = l0, loss
-        start = rows.stop
+    for start, cols in zip(range(0, count, BLOCK_ROWS), blocks(("l0", "loss"))):
+        np.stack(cols, axis=1, out=out[start:start + BLOCK_ROWS])
     return out
 
 

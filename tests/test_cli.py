@@ -20,12 +20,13 @@ import dandelion_risk
 from dandelion_risk import (GridSpec, ModelConfig, calibrate, loss_pmf, rho_bounds,
                             sample, scan_rho)
 from dandelion_risk import _text, cli
-from dandelion_risk.cli import CSV_BLOCK_ROWS, build_parser, main
+from dandelion_risk.cli import build_parser, main
+from dandelion_risk.oracle import BLOCK_ROWS
 
 from conftest import oracle_sample, traced_peak
 
 # More rows than two CSV blocks, ending part-way through the third.
-MULTI_BLOCK_ROWS = 2 * CSV_BLOCK_ROWS + 5
+MULTI_BLOCK_ROWS = 2 * BLOCK_ROWS + 5
 
 
 def assert_json_document(out, data):
@@ -433,7 +434,7 @@ class TestSampleCommand:
 
 
 # Counts on both sides of one and two block edges, and one of many blocks.
-SPLIT_COUNTS = [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+SPLIT_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                 MULTI_BLOCK_ROWS, 300001]
 
 
@@ -478,18 +479,68 @@ def test_pmf_export_memory_budget(tmp_path, fmt):
     assert traced_peak(cli._emit, *table, "{}", fmt, str(tmp_path / "out")) <= 7.0e6
 
 
-def test_sample_csv_memory_budget(tmp_path):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_export_memory_budget(tmp_path, fmt):
     # Drawn whole, 10**6 draws held 32.1 MB traced: the (count, 2) draws, the
     # uniforms, the rates and an index column.  Drawn and written a block at
-    # a time, the export peaks at 1.0 MB.
+    # a time, the export peaks at 1.0 MB as CSV and 0.7 MB as JSON.
     argv = ["sample", "--p", "0.4", "--rho", "-0.26", "--n", "100", "--seed", "5",
-            "-o", str(tmp_path / "draws.csv")]
+            "--format", fmt, "-o", str(tmp_path / "draws")]
 
     def export(count):
         assert main([*argv, "--count", str(count)]) == 0
 
     export(1000)  # builds the float kernel's tables and numpy's caches
     assert traced_peak(export, 10**6) <= 3.0e6
+
+
+def test_sample_draws_only_what_each_pass_asks_for(tmp_path):
+    # JSON asks for one column per pass.  A pass that drew every column would
+    # draw the binomials three times, which doubled the export's time.
+    count = 10**6
+    draws = []
+
+    class CountingGenerator(np.random.Generator):
+        def random(self, size=None, **kwargs):
+            draws.append(("random", size))
+            return super().random(size, **kwargs)
+
+        def binomial(self, n, p, size=None):
+            draws.append(("binomial", len(p)))
+            return super().binomial(n, p, size)
+
+    sizes = [min(BLOCK_ROWS, count - start) for start in range(0, count, BLOCK_ROWS)]
+    uniforms = [("random", size) for size in sizes]
+    both = [draw for size in sizes for draw in (("random", size), ("binomial", size))]
+    expected = {"csv": {("draw_index", "l0", "loss"): both},
+                "json": {("draw_index",): [], ("l0",): uniforms, ("loss",): both}}
+    for fmt, passes in expected.items():
+        args = build_parser().parse_args([
+            "sample", "--p", "0.4", "--rho", "-0.26", "--n", "100",
+            "--count", str(count), "--format", fmt])
+        names, blocks, extras = args.func(args)
+        seen = {}
+
+        def spied(asked):
+            draws.clear()
+            yield from blocks(asked)
+            seen[asked] = list(draws)
+
+        with mock.patch.object(np.random, "Generator", CountingGenerator):
+            cli._emit(names, spied, extras, "{}", fmt, str(tmp_path / "draws"))
+        assert seen == passes, fmt
+
+
+def test_import_leaves_the_text_writer_unloaded():
+    # The block size lives in `oracle`, so `import dandelion_risk` leaves the
+    # writer to the CLI; loading it and its `json` took 4-7 ms more.
+    env = dict(os.environ)
+    src = str(Path(dandelion_risk.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, dandelion_risk; print('dandelion_risk._text' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("argv", [

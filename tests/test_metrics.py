@@ -15,6 +15,7 @@ from dandelion_risk import (
     GridSpec,
     LossPmf,
     ModelConfig,
+    enumerate_model,
     loss_pmf,
     mode_of,
     risk_report,
@@ -478,3 +479,17 @@ class TestScanRho:
         for rho, report in zip(res.rho_grid, res.reports, strict=True):
             cfg = ModelConfig(n, p, float(rho))
             assert repr(report) == repr(risk_report(loss_pmf(cfg), 0.99))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: loss_pmf(ModelConfig(10, 0.4, 0.1)), id="LossPmf"),
+    pytest.param(lambda: scan_rho(0.4, 10, GridSpec(count=3)), id="ScanResult"),
+    pytest.param(lambda: enumerate_model(ModelConfig(4, 0.4, 0.1)),
+                 id="EnumerationReport"),
+])
+def test_results_holding_arrays_compare_and_hash_by_identity(make):
+    # A field-wise == would take the truth value of an array, which raises,
+    # and a field-wise hash would hash an array.
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dandelion_risk import ModelConfig, _text, loss_pmf
-from dandelion_risk.cli import CSV_BLOCK_ROWS
+from dandelion_risk.oracle import BLOCK_ROWS
 
 from conftest import traced_peak
 
@@ -47,7 +47,7 @@ CELLS = {
 }
 
 
-def whole_columns(columns: dict, block_rows: int = CSV_BLOCK_ROWS) -> tuple:
+def whole_columns(columns: dict, block_rows: int = BLOCK_ROWS) -> tuple:
     """A table's (names, blocks) over columns held whole, sliced into blocks
     of `block_rows` rows."""
     rows = len(next(iter(columns.values())))

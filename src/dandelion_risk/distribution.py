@@ -9,8 +9,10 @@ normalised binomials, with weights 1-p and p and the rates (r0, r1) of
     P(L = l) = C(N, l) * ( e^(c0 + l*logit r0) + e^(c1 + l*logit r1) ),
     c0 = log(1-p) + N*log(1-r0),   c1 = log p + N*log(1-r1).
 
-No partition function enters it.  The scipy expansion of that mixture in
-``tests/conftest.py`` is the cross-check oracle for the log-space kernel.
+No partition function enters it.  At p = 1/2, L and N - L have the same law,
+so the kernel writes the upper half of the log masses as the lower half
+mirrored: that pmf is an exact palindrome.  The scipy expansion of that
+mixture in ``tests/conftest.py`` is the cross-check oracle for the kernel.
 
 The kernel skips transcendental work whose result is already known in double
 precision, so its output is bit-for-bit that of the full-array formulas:
@@ -30,10 +32,10 @@ precision, so its output is bit-for-bit that of the full-array formulas:
 one log-binomial table of N+1 floats.  The log masses start as a column
 turned into the branch terms in place; the window gets one temporary of its
 own size, freed before the table is built.  The table is added into the
-column and freed before the linear masses are made.  ``metrics.scan_rho``
-builds the table and a ramp 0..N once, read-only; each point's column is
-written from the ramp into a fresh array and the table is added into it, so
-a scan holds two arrays more (16 MB at N = 10**6).
+column and freed before the linear masses are made.  ``_scan_kernel``
+builds the table and a ramp 0..N once, read-only, for all of a scan's points;
+each point's column is written from the ramp into a fresh array and the
+table is added into it, so a scan holds two arrays more (16 MB at N = 10**6).
 """
 
 from __future__ import annotations
@@ -203,9 +205,18 @@ def loss_pmf(cfg: ModelConfig) -> LossPmf:
     logaddexp runs only on the window of :func:`_branch_window`; elsewhere
     it would return the larger branch exactly, so that is taken directly.
     Near rho = 0, where the two rates nearly agree, the window is the whole
-    support.
+    support.  At p = 1/2 the upper half is the lower half mirrored, as the
+    law of N - L is that of L.
     """
     return _loss_pmf(cfg)
+
+
+def _scan_kernel(n: int):
+    """`loss_pmf` for configs with N = n, sharing one log C(n, l) table and ramp."""
+    table = _log_binom_table(n)
+    ramp = np.arange(n + 1, dtype=np.float64)
+    table.flags.writeable = ramp.flags.writeable = False
+    return lambda cfg: _loss_pmf(cfg, table, ramp)
 
 
 def _loss_pmf(cfg: ModelConfig, table: np.ndarray | None = None,
@@ -239,6 +250,9 @@ def _loss_pmf(cfg: ModelConfig, table: np.ndarray | None = None,
     # A fresh table is built after the window temporary is freed, and freed
     # before LossPmf allocates `mass`.
     col += _log_binom_table(n) if table is None else table
+    if cfg.p == 0.5:
+        half = n // 2
+        col[n - half:] = col[half::-1]
     col.flags.writeable = False
     return LossPmf(col)
 

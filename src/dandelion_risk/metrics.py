@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import AdmissibilityError, ModelConfig, rho_bounds
-from .distribution import LossPmf, _log_binom_table, _loss_pmf, loss_moments, peak_indices
+from .distribution import LossPmf, _scan_kernel, loss_moments, peak_indices
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ class ScanResult:
     reports: tuple[RiskReport, ...]
     rho_star: float | None
     jump_size: int
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.array([r.mode for r in self.reports])
 
 
 # The first block of a VaR tail sum; each later block is twice the one before.
@@ -166,10 +162,8 @@ def scan_rho(
     The grid spans [lower+margin, 1-margin]; each point is evaluated
     independently and results are merged in grid order, so the output is
     deterministic for identical inputs.  Every report is byte for byte
-    risk_report(loss_pmf(cfg), level) at its point: the scan builds the
-    log C(N, l) table and the ramp 0..N once, read-only, writes each point's
-    branch column from the ramp and adds the table into it, so it holds two
-    more arrays of N+1 floats than a point query does (16 MB at N = 10**6).
+    risk_report(loss_pmf(cfg), level) at its point; the points share the
+    kernel inputs of `distribution._scan_kernel`.
     The points are even over that span, so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
     2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
     |lower|, none (margin 1e-6 gives 1).
@@ -185,12 +179,10 @@ def scan_rho(
         )
     grid = np.linspace(lo, hi, grid_spec.count)
     grid.flags.writeable = False
-    # Every config is validated, n included, before the table is sized by n.
+    # Every config is validated, n included, before the kernel is sized by n.
     cfgs = [ModelConfig(n_credits=n, p=p, rho=float(r)) for r in grid]
-    table = _log_binom_table(n)
-    ramp = np.arange(n + 1, dtype=np.float64)
-    table.flags.writeable = ramp.flags.writeable = False
-    reports = tuple(risk_report(_loss_pmf(cfg, table, ramp), level) for cfg in cfgs)
+    pmf_of = _scan_kernel(n)
+    reports = tuple(risk_report(pmf_of(cfg), level) for cfg in cfgs)
     modes = np.array([r.mode for r in reports])
     diffs = np.diff(modes)
     k = int(np.argmax(np.abs(diffs)))

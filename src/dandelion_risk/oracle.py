@@ -116,7 +116,7 @@ def enumerate_model(cfg: ModelConfig) -> EnumerationReport:
     l0, k, _, l1, l2 = table
     pmf = np.bincount(k.astype(np.intp), weights=w, minlength=n + 1)
     return EnumerationReport(
-        moments=tuple(np.einsum("i,i->", w, x) for x in (l0, l1, l0 * l1, l1 * l2)),
+        moments=tuple(float(np.einsum("i,i->", w, x)) for x in (l0, l1, l0 * l1, l1 * l2)),
         loss_pmf_bf=pmf,
         total_mass=math.fsum(w.tolist()),
     )

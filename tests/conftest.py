@@ -11,6 +11,8 @@ package's own two normalised binomial lines, c + l*logit r for each state of
 the central node, and applies them to every entry; and `oracle_sample` takes
 the package's conditional rates, since it pins how the package's sampler uses
 numpy's random stream, not the rates.
+`exact_masses` shares nothing with the package either: it builds the pmf of
+the exact rational rates as integers, with no tolerance.
 The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 `tests/test_distribution.py`.
 """
@@ -18,6 +20,7 @@ The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 from scipy import stats
@@ -84,13 +87,41 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     """(log_mass, mass) by the full-array formulas, with no entry skipped.
 
     logaddexp and exp run on every entry; the package skips entries whose
-    result is known, and must agree with this byte for byte.
+    result is known, and must agree with this byte for byte.  At p = 1/2 the
+    upper half is the lower half mirrored, as in the package.
     """
     c0, slope0, c1, slope1 = _branch_lines(cfg)
     n = cfg.n_credits
     l = np.arange(n + 1, dtype=np.float64)
     log_mass = oracle_log_binom_table(n) + np.logaddexp(c0 + slope0 * l, c1 + slope1 * l)
+    if cfg.p == 0.5:
+        log_mass[n - n // 2:] = log_mass[n // 2::-1]
     return log_mass, np.exp(log_mass)
+
+
+def exact_masses(p: float, rho: float, n: int) -> tuple[list[int], int]:
+    """(M, D): P(L = l) = M[l] / D exactly, for the float inputs read as
+    rationals.
+
+    The rates r0 = p(1 - rho), r1 = p + rho(1 - p) are formed as Fractions
+    over a common denominator d, so a branch of weight w/d and rate a/d puts
+    w * C(n, l) * a**l * (d - a)**(n - l) over D = d**(n + 1) at l; each term
+    follows from the one before by an exact integer division.
+    """
+    fp, fr = Fraction(p), Fraction(rho)
+    rates = (1 - fp, fp * (1 - fr)), (fp, fp + fr * (1 - fp))
+    d = math.lcm(*(x.denominator for pair in rates for x in pair))
+    masses = [0] * (n + 1)
+    for w, r in rates:
+        a = r.numerator * (d // r.denominator)
+        b = d - a
+        t = w.numerator * (d // w.denominator) * b**n
+        for l in range(n + 1):
+            masses[l] += t
+            t = t * (n - l) * a // ((l + 1) * b)
+    total = d ** (n + 1)
+    assert sum(masses) == total
+    return masses, total
 
 
 def oracle_sample(cfg, count: int, seed: int) -> np.ndarray:

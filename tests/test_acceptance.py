@@ -159,7 +159,7 @@ def test_criterion_06_mode_jump_transition():
     res = scan_rho(0.4, 100)
     elapsed = time.perf_counter() - start
 
-    modes = res.modes
+    modes = [r.mode for r in res.reports]
     grid = res.rho_grid
     k = int(np.argmax(np.abs(np.diff(modes))))
     post_jump_mode = int(modes[k + 1])

@@ -25,7 +25,7 @@ from dandelion_risk import (
 from dandelion_risk.distribution import EXP_FLOOR
 from dandelion_risk.metrics import _FIRST_BLOCK
 
-from conftest import lower_bound, oracle_peak_indices, rho_at
+from conftest import exact_masses, lower_bound, oracle_peak_indices, rho_at
 
 # Frozen by two independent routes: a scipy-only binomial-mixture sweep and a
 # 50+ digit direct evaluation of the closed-form pmf.  The argmax of the loss
@@ -206,6 +206,51 @@ class TestRiskReport:
         assert 0.0 < rep.mode_prob <= 1.0
 
 
+def exact_var(masses: list[int], total: int, level: float) -> int | None:
+    """The exact lower quantile of masses/total at `level`, or None where an
+    exact tail that value_at_risk compares lies within its relative delta of
+    the target, so that it may answer any loss where one does.
+
+    Every comparison is of integers: a float is the ratio of two.
+    """
+    cdf = list(accumulate(masses))  # total * P(L <= l)
+    compared = [([total - s for s in cdf], 1.0 - max(level, 0.5))]
+    if level <= 0.5:
+        compared.append((cdf, level))
+    dn, dd = (1e-14 * len(masses) + 1e-12).as_integer_ratio()
+    for sums, target in compared:
+        tn, td = target.as_integer_ratio()
+        if any(abs(s * td - tn * total) * dd <= dn * s * td for s in sums):
+            return None
+    ln, ld = level.as_integer_ratio()
+    return next(l for l, s in enumerate(cdf) if s * ld >= ln * total)
+
+
+# N log-uniform in 2..10**3, p in (0.01, 0.99), rho across its interval.
+_rng = np.random.default_rng(2026)
+EXACT_CASES = [
+    pytest.param(p, rho, n, id=f"{p:.4g}-{rho:.4g}-{n}")
+    for p, rho, n in (
+        (p, rho_at(p, t), int(round(10 ** _rng.uniform(math.log10(2), 3))))
+        for p, t in _rng.uniform((0.01, 0.001), (0.99, 0.999), size=(40, 2)))
+]
+
+
+class TestExactOracle:
+    """Mode and VaR against `exact_masses`, the pmf of the exact rates as
+    integers."""
+
+    @pytest.mark.parametrize("p, rho, n", EXACT_CASES)
+    def test_mode_and_var_are_exact(self, p, rho, n):
+        masses, total = exact_masses(p, rho, n)
+        pmf = loss_pmf(ModelConfig(n, p, rho))
+        assert mode_of(pmf)[0] == masses.index(max(masses))
+        for level in (0.01, 0.5, 0.99, 1 - 1e-15):
+            exact = exact_var(masses, total, level)
+            if exact is not None:
+                assert value_at_risk(pmf, level) == exact, level
+
+
 def full_support_reference(mass: np.ndarray, level: float) -> tuple[int, int, list[int]]:
     """(VaR, mode, peaks) with every sum and search over the whole support."""
     n = len(mass) - 1
@@ -290,7 +335,8 @@ class TestSpanReading:
         (0.634, 0.690218, 99858),
         (0.3, 0.2, 100000),
         # Mirrored humps whose top masses tie exactly (at 27 and 73, and at
-        # 28 and 73, with numpy 2.4.6 on x86-64); the mode is the first.
+        # 28 and 73), as the kernel mirrors every pmf at p = 1/2; the mode is
+        # the first.
         (0.5, -0.45, 100),
         (0.5, -0.45, 101),
     ])
@@ -420,7 +466,7 @@ class TestScanRho:
         res = scan_rho(0.4, 100)
         assert res.rho_star == pytest.approx(TRANSITION_RHO_STAR, abs=1e-5)
         assert res.jump_size == TRANSITION_JUMP
-        k = int(np.argmax(np.abs(np.diff(res.modes))))
+        k = int(np.argmax(np.abs(np.diff([r.mode for r in res.reports]))))
         assert (res.reports[k].mode, res.reports[k + 1].mode) == MODES_AROUND_JUMP
 
     def test_no_jump_reported_when_below_threshold(self):
@@ -436,12 +482,12 @@ class TestScanRho:
     @pytest.mark.parametrize("threshold", [0, 10])
     def test_flat_modes_report_no_jump(self, threshold):
         res = scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=threshold)
-        assert res.modes.tolist() == [0] * 5
+        assert [r.mode for r in res.reports] == [0] * 5
         assert (res.rho_star, res.jump_size) == (None, 0)
 
     def test_mode_shape_along_grid(self):
         res = scan_rho(0.4, 100)
-        grid, modes = res.rho_grid, res.modes
+        grid, modes = res.rho_grid, np.array([r.mode for r in res.reports])
         assert modes[int(np.argmin(np.abs(grid)))] == 40
         assert modes[0] <= 2
         # beyond the transition the mode tracks (N+1)*p*(1-rho) and decays
@@ -463,6 +509,16 @@ class TestScanRho:
         for rho in (-0.26, 0.26):
             rep = risk_report(loss_pmf(ModelConfig(100, 0.4, rho)))
             assert len(rep.peaks) == 2
+
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_half_modes_are_exact_and_report_no_jump(self, n):
+        # At p = 1/2 a two-humped pmf has two exactly tied top masses; the
+        # mode is the lower one at every point, so it never jumps across.
+        res = scan_rho(0.5, n)
+        for rho, report in zip(res.rho_grid, res.reports, strict=True):
+            masses, _ = exact_masses(0.5, float(rho), n)
+            assert report.mode == masses.index(max(masses)), rho
+        assert (res.rho_star, res.jump_size) == (None, 0)
 
     @pytest.mark.parametrize("p, n, count", [
         *(pytest.param(p, n, 51, id=f"{p}-{n}")

@@ -47,6 +47,11 @@ class TestEnumerate:
             0.16 + 0.24 * rho_noncentral(ModelConfig(8, 0.4, 0.26)), abs=1e-10
         )
 
+    def test_moments_are_python_floats(self):
+        # As annotated, and as total_mass is: not numpy scalars.
+        rep = enumerate_model(ModelConfig(n_credits=8, p=0.4, rho=0.26))
+        assert [type(m) for m in (*rep.moments, rep.total_mass)] == [float] * 5
+
     def test_fair_coin_binomial(self):
         rep = enumerate_model(ModelConfig(n_credits=4, p=0.5, rho=0.0))
         np.testing.assert_allclose(

@@ -39,7 +39,6 @@ from .metrics import (
 from .oracle import (
     GENERATOR_NAME,
     MAX_ENUM_N,
-    MAX_FIT_N,
     EnumerationReport,
     MaxEntConvergenceError,
     MaxEntFit,

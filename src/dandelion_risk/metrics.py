@@ -168,7 +168,7 @@ def scan_rho(
     2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
     |lower|, none (margin 1e-6 gives 1).
     """
-    if jump_threshold < 0:
+    if not jump_threshold >= 0:
         raise AdmissibilityError(f"jump_threshold={jump_threshold!r} must be >= 0")
     bounds = rho_bounds(p)
     lo = bounds.lower + grid_spec.margin

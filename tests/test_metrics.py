@@ -474,10 +474,12 @@ class TestScanRho:
         assert res.rho_star is None
         assert res.jump_size == 0
 
-    def test_rejects_negative_jump_threshold(self):
-        # Every mode is 0 here, so -1 would report a "jump" of size 0.
-        with pytest.raises(AdmissibilityError, match="jump_threshold=-1 must be >= 0"):
-            scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=-1)
+    @pytest.mark.parametrize("threshold, text", [(-1, "-1"), (float("nan"), "nan")])
+    def test_rejects_negative_jump_threshold(self, threshold, text):
+        # Every mode is 0 here, so -1 would report a "jump" of size 0; no
+        # difference exceeds NaN, so NaN would never report a jump.
+        with pytest.raises(AdmissibilityError, match=f"jump_threshold={text} must be >= 0"):
+            scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=threshold)
 
     @pytest.mark.parametrize("threshold", [0, 10])
     def test_flat_modes_report_no_jump(self, threshold):

@@ -172,7 +172,7 @@ class TestMaxEntFit:
 
     def test_moment_match_is_the_invariant(self):
         p, q, n = 0.35, 0.1, 7
-        fit = maxent_fit_small(p, q, n, tol=1e-11)
+        fit = maxent_fit_small(p, q, n)
         moments = maxent_sweep(np.array(fit.lagrange), n)[0]
         np.testing.assert_allclose(moments, [p, n * p, n * q], atol=1e-10)
         assert fit.residual_norm < 1e-11
@@ -189,14 +189,23 @@ class TestMaxEntFit:
             fd = (maxent_sweep(up, n)[2] - maxent_sweep(dn, n)[2]) / (2 * h)
             assert abs(fd - analytic[k]) / abs(analytic[k]) < 1e-5
 
-    def test_custom_init_converges(self):
-        fit = maxent_fit_small(0.4, 0.2224, 8, init=[0.1, 0.1, 0.1])
-        closed = calibrate(ModelConfig(8, 0.4, 0.26))
-        assert fit.matched_params.beta == pytest.approx(closed.beta, abs=1e-6)
+    @pytest.mark.parametrize("fault", ["singular-covariance", "stalled-moments"])
+    def test_nonconvergence_reports_residual(self, monkeypatch, fault):
+        # A zero covariance makes the Newton solve raise LinAlgError; moments
+        # that no theta moves leave no step that reduces the residual.
+        sweep = oracle.maxent_sweep
+        first = []
 
-    def test_nonconvergence_reports_residual(self):
+        def faulty(theta, n):
+            swept = sweep(theta, n)
+            if fault == "singular-covariance":
+                return swept[0], np.zeros((3, 3)), swept[2]
+            first.append(swept)
+            return first[0]  # the start's sweep, whatever theta is
+
+        monkeypatch.setattr(oracle, "maxent_sweep", faulty)
         with pytest.raises(MaxEntConvergenceError) as err:
-            maxent_fit_small(0.4, 0.2224, 8, init=[300.0, -300.0, 300.0], max_iters=2)
+            maxent_fit_small(0.4, 0.2224, 8)
         assert np.isfinite(err.value.residual_norm)
         assert err.value.residual_norm > 0.0
 
@@ -215,21 +224,16 @@ class TestMaxEntFit:
         np.testing.assert_allclose(maxent_sweep(np.array(fit.lagrange), n)[0],
                                    [p, n * p, n * q], rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("p, gap, old_start", [
-        (0.499, 1e-7, "perturbed"),
-        (0.497, 2.1e-10, "perturbed"),
-        (0.24, 0.64, "zeros"),
-    ], ids=["perturbed-stalls", "perturbed-stalls-near-bound", "zeros-stalls"])
-    def test_old_starts_stall_where_the_default_converges(self, p, gap, old_start):
-        # Each of these starts stalls on some input; shifting only alpha0 off the
-        # closed form converges on all three.
+    @pytest.mark.parametrize("p, gap", [(0.499, 1e-7), (0.497, 2.1e-10), (0.24, 0.64)],
+                             ids=["perturbed-stalls", "perturbed-stalls-near-bound",
+                                  "zeros-stalls"])
+    def test_converges_where_old_starts_stalled(self, p, gap):
+        # Starting from the closed form with alpha and beta also shifted
+        # (alpha0 + 0.5, alpha - 0.5, beta + 0.5) stalled on the first two
+        # inputs, and starting from zeros on the third; shifting only alpha0
+        # off the closed form converges on all three.
         n = 9
         cfg = ModelConfig(n, p, lower_bound(p) + gap)
-        closed = calibrate(cfg)
-        starts = {"perturbed": [closed.alpha0 + 0.5, closed.alpha - 0.5, closed.beta + 0.5],
-                  "zeros": [0.0, 0.0, 0.0]}
-        with pytest.raises(MaxEntConvergenceError):
-            maxent_fit_small(p, cfg.q, n, init=starts[old_start])
         fit = maxent_fit_small(p, cfg.q, n)
         assert fit.residual_norm < 1e-10
         np.testing.assert_allclose(maxent_sweep(np.array(fit.lagrange), n)[0],
@@ -260,12 +264,9 @@ class TestMaxEntFit:
         assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
         assert info.hits == len(sweeps) - 1
 
-    @pytest.mark.parametrize("init, expected", [(None, 4), ([0.1, 0.1, 0.1], 7)],
-                             ids=["default-start", "halving-start"])
-    def test_fit_sweeps_each_theta_once(self, monkeypatch, init, expected):
-        # One sweep for the start and one per line-search candidate: the accepted
-        # candidate's sweep gives the next Jacobian and the final log Z.  The
-        # halving start rejects a full step once, so that path is counted too.
+    def test_fit_sweeps_each_theta_once(self, monkeypatch):
+        # One sweep for the start and one per Newton step: the step's sweep
+        # gives the next Jacobian and the final log Z.
         sweeps = []
         state_weights = oracle._state_weights
 
@@ -274,15 +275,37 @@ class TestMaxEntFit:
             return state_weights(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_state_weights", counted)
-        fit = maxent_fit_small(0.4, 0.2224, 8, init=init)
-        assert len(sweeps) == expected
-        assert len({np.asarray(theta).tobytes() for theta, _ in sweeps}) == expected
+        fit = maxent_fit_small(0.4, 0.2224, 8)
+        assert len(sweeps) == 4
+        assert len({np.asarray(theta).tobytes() for theta, _ in sweeps}) == 4
         log_z = maxent_sweep(np.array(fit.lagrange), 8)[2]
         assert fit.matched_params.log_z.hex() == log_z.hex()
 
     def test_size_cap(self):
-        with pytest.raises(AdmissibilityError):
-            maxent_fit_small(0.4, 0.16, 11)
+        with pytest.raises(AdmissibilityError, match="enumeration cap"):
+            maxent_fit_small(0.4, 0.16, MAX_ENUM_N + 1)
+
+    def test_converges_up_to_the_enumeration_cap(self):
+        # Seeded draws at N = 11..16: p central and within 1e-4..0.02 of 0 or
+        # 1, rho 1e-10..1e-6 inside either bound or in the interior.
+        rng = np.random.default_rng(37)
+        for n in range(11, MAX_ENUM_N + 1):
+            for p in (rng.uniform(0.1, 0.9), 10.0 ** rng.uniform(-4, np.log10(0.02)),
+                      1.0 - 10.0 ** rng.uniform(-4, np.log10(0.02))):
+                gap = 10.0 ** rng.uniform(-10, -6)
+                inside = rho_at(p, rng.uniform(0.1, 0.9))
+                for rho in (lower_bound(p) + gap, inside, 1.0 - gap):
+                    cfg = ModelConfig(n, p, rho)
+                    fit = maxent_fit_small(p, cfg.q, n)
+                    assert fit.residual_norm < 1e-10, (p, rho, n)
+                    np.testing.assert_allclose(maxent_sweep(np.array(fit.lagrange), n)[0],
+                                               [p, n * p, n * cfg.q], rtol=0, atol=1e-9)
+                    if rho == inside:  # near the bounds theta is pinned loosely
+                        closed = calibrate(cfg)
+                        got = fit.matched_params
+                        np.testing.assert_allclose(
+                            [got.alpha0, got.alpha, got.beta],
+                            [closed.alpha0, closed.alpha, closed.beta], rtol=0, atol=1e-6)
 
     # The sweep's moments and log Z, each read as its own slice.
     SWEEP_PARTS = pytest.mark.parametrize(

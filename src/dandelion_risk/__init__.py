@@ -17,7 +17,6 @@ from .core_model import (
     RhoInterval,
     calibrate,
     conditional_probs,
-    q_to_rho,
     rho_bounds,
 )
 from .distribution import (
@@ -31,7 +30,6 @@ from .metrics import (
     GridSpec,
     RiskReport,
     ScanResult,
-    mode_of,
     risk_report,
     scan_rho,
     value_at_risk,

@@ -34,21 +34,12 @@ from . import __version__
 from ._text import _csv_chunks, _json_chunks
 from .core_model import ModelConfig, calibrate, rho_bounds
 from .distribution import loss_pmf
-from .metrics import GridSpec, risk_report, scan_rho
+from .metrics import GridSpec, _check_level, risk_report, scan_rho
 from .oracle import BLOCK_ROWS, GENERATOR_NAME, sampler
-
-OUTDIR_ENV = "DANDELION_RISK_OUTDIR"
 
 # Parsed attributes that are not run parameters: the subcommand and its
 # handler, where the output goes, and the seed, a top-level manifest key.
 NOT_PARAMETERS = frozenset({"command", "func", "output", "seed"})
-
-
-def _resolve_output(path: str) -> str:
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not os.path.isabs(path):
-        return os.path.join(outdir, path)
-    return path
 
 
 def _emit(names: tuple, blocks, extras: dict, manifest: str, fmt: str,
@@ -75,13 +66,12 @@ def _emit(names: tuple, blocks, extras: dict, manifest: str, fmt: str,
         if sidecar is not None:
             sys.stderr.write(sidecar)
         return
-    path = _resolve_output(output)
     rows = side = None
     try:
-        with open(path, "wb") as rows:
+        with open(output, "wb") as rows:
             rows.writelines(chunks)
         if sidecar is not None:
-            with open(path + ".manifest.json", "w", encoding="utf-8") as side:
+            with open(output + ".manifest.json", "w", encoding="utf-8") as side:
                 side.write(sidecar)
     except BaseException:
         # A name is bound only once its open succeeded.
@@ -128,6 +118,7 @@ def _cmd_pmf(args):
 
 def _cmd_metrics(args):
     cfg = ModelConfig(n_credits=args.n, p=args.p, rho=args.rho)
+    _check_level(args.level)
     return (), None, asdict(risk_report(loss_pmf(cfg), level=args.level))
 
 
@@ -177,8 +168,7 @@ def _add_output_flags(parser, formats=("csv", "json")):
     parser.add_argument("--format", choices=list(formats), default=formats[0],
                         help="Output format (default: %(default)s).")
     parser.add_argument("--output", "-o", default=None,
-                        help="Output file path; stdout when omitted. Relative "
-                             f"paths resolve under ${OUTDIR_ENV} when set.")
+                        help="Output file path; stdout when omitted.")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "distributions, risk metrics, correlation scans, and "
                     "sampling. The loss counts defaulted non-central credits "
                     "only (support 0..N).",
-        epilog=f"Exit codes: 0 ok, 2 argument/domain error, 3 I/O error. "
-               f"Set ${OUTDIR_ENV} to redirect relative output paths.",
+        epilog="Exit codes: 0 ok, 2 argument/domain error, 3 I/O error.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

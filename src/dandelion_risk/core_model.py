@@ -12,8 +12,7 @@ r1 = p + rho*(1-p).  q = E[L0*Li] = rho*p*(1-p) + p**2 = p*r1 is the joint
 default probability of the central node and any leaf.
 
 :class:`ModelConfig` is the one admissibility check: it compares rho with the
-bounds of :func:`rho_bounds`, and its ``q`` property forms q.  The inverse,
-:func:`q_to_rho`, maps the max-ent fit's input q to rho.
+bounds of :func:`rho_bounds`, and its ``q`` property forms q.
 
 Everything here works in log space: Z = (1-r0)^-N / (1-p) is never formed in
 linear space because it can overflow a double at N ~ 100.
@@ -34,11 +33,6 @@ EPS_BOUND = 1e-10
 
 class AdmissibilityError(ValueError):
     """Raised when (p, rho, q, ...) fall outside the model's admissible domain."""
-
-
-def _check_p(p: float) -> None:
-    if not (0.0 < p < 1.0) or not math.isfinite(p):
-        raise AdmissibilityError(f"p={p!r} must lie strictly inside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -64,21 +58,10 @@ def rho_bounds(p: float) -> RhoInterval:
 
     symmetric in p <-> 1-p, with the lower end reaching -1 only at p = 1/2.
     """
-    _check_p(p)
+    if not 0.0 < p < 1.0:
+        raise AdmissibilityError(f"p={p!r} must lie strictly inside (0, 1)")
     lower = max(-p / (1.0 - p), -(1.0 - p) / p)
     return RhoInterval(lower=lower, upper=1.0)
-
-
-def q_to_rho(p: float, q: float) -> float:
-    """Inverse of :attr:`ModelConfig.q`: rho = (q - p**2) / (p*(1-p)).
-
-    Only q is checked, against (0, p); the max-ent fit, whose input is q,
-    checks this rho through :class:`ModelConfig`.
-    """
-    _check_p(p)
-    if not (0.0 < q < p) or not math.isfinite(q):
-        raise AdmissibilityError(f"q={q!r} must lie strictly inside (0, p={p!r})")
-    return (q - p * p) / (p * (1.0 - p))
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,11 @@ def _crossing(mass: np.ndarray, target: float, side: str) -> int:
         sums = np.concatenate((sums[-1:], mass[stop:stop + size])).cumsum()
 
 
+def _check_level(level: float) -> None:
+    if not (0.0 < level < 1.0):
+        raise AdmissibilityError(f"confidence level={level!r} must be in (0, 1)")
+
+
 def value_at_risk(pmf: LossPmf, level: float) -> int:
     """Smallest loss l with P(L <= l) >= level (lower quantile).
 
@@ -98,8 +103,7 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     l is exact unless an exact tail lies within delta of 1 - level (of level
     at or below 0.5); then l may be any loss where one does.
     """
-    if not (0.0 < level < 1.0):
-        raise AdmissibilityError(f"confidence level={level!r} must be in (0, 1)")
+    _check_level(level)
     # Masses outside the span are 0.0, so the sums over it are bit for bit
     # those over the whole support.  The right sum crosses at k, where
     # P(L >= b - 1 - k) first exceeds 1 - max(level, 1/2); the total mass
@@ -118,22 +122,13 @@ def _peaks(pmf: LossPmf) -> tuple[int, ...]:
     return tuple(a + i for i in peak_indices(pmf.mass[a:b]))
 
 
-def mode_of(pmf: LossPmf) -> tuple[int, float]:
-    """Argmax of the pmf and its probability; ties break to the smallest index.
-
-    The smallest index of the largest mass starts a run of equal masses whose
-    outside neighbours are both smaller, so it is a peak, and the first of the
-    highest peaks, which `max` returns, is `argmax` bit for bit.
-    """
-    mode = max(_peaks(pmf), key=pmf.mass.__getitem__)
-    return mode, float(pmf.mass[mode])
-
-
 def risk_report(pmf: LossPmf, level: float = 0.99) -> RiskReport:
     """Bundle VaR, mode, moments, and peak locations for one distribution.
 
-    The mode is `mode_of`'s, the smallest index of the largest mass, taken
-    from the peaks as the first of the highest.
+    The mode is the smallest index of the largest mass.  That index starts a
+    run of equal masses whose outside neighbours are both smaller, so it is a
+    peak, and the first of the highest peaks, which `max` returns, is
+    `argmax` bit for bit.
     """
     var_value = value_at_risk(pmf, level)
     peaks = _peaks(pmf)
@@ -163,24 +158,33 @@ def scan_rho(
     independently and results are merged in grid order, so the output is
     deterministic for identical inputs.  Every report is byte for byte
     risk_report(loss_pmf(cfg), level) at its point; the points share the
-    kernel inputs of `distribution._scan_kernel`.
-    The points are even over that span, so negative rho gets about |lower|/(1+|lower|) of them: at p = 1e-2,
-    2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3 exceeds
-    |lower|, none (margin 1e-6 gives 1).
+    kernel inputs of `distribution._scan_kernel`.  The points are even over
+    that span, so negative rho gets about |lower|/(1+|lower|) of them: at
+    p = 1e-2, 2 of 201; at 1e-3, 1; at 1e-4, where the default margin 1e-3
+    exceeds |lower|, none (margin 1e-6 gives 1).
     """
     if not jump_threshold >= 0:
         raise AdmissibilityError(f"jump_threshold={jump_threshold!r} must be >= 0")
+    margin = grid_spec.margin
     bounds = rho_bounds(p)
-    lo = bounds.lower + grid_spec.margin
-    hi = bounds.upper - grid_spec.margin
+    lo = bounds.lower + margin
+    hi = bounds.upper - margin
     if not lo < hi:
-        raise AdmissibilityError(
-            f"margin={grid_spec.margin!r} leaves no admissible grid at p={p!r}"
-        )
+        raise AdmissibilityError(f"margin={margin!r} leaves no admissible grid at p={p!r}")
+    # The grid's ends are lo and hi.  A margin inside ModelConfig's EPS_BOUND
+    # band puts one of them out; n = 2 leaves a bad n to the configs below.
+    for end in (lo, hi):
+        try:
+            ModelConfig(n_credits=2, p=p, rho=end)
+        except AdmissibilityError as exc:
+            raise AdmissibilityError(
+                f"margin={margin!r} makes a grid end inadmissible at p={p!r}: {exc}"
+            ) from None
     grid = np.linspace(lo, hi, grid_spec.count)
     grid.flags.writeable = False
-    # Every config is validated, n included, before the kernel is sized by n.
+    # Every input is checked, n included, before the kernel is sized by n.
     cfgs = [ModelConfig(n_credits=n, p=p, rho=float(r)) for r in grid]
+    _check_level(level)
     pmf_of = _scan_kernel(n)
     reports = tuple(risk_report(pmf_of(cfg), level) for cfg in cfgs)
     modes = np.array([r.mode for r in reports])

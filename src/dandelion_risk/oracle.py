@@ -31,11 +31,12 @@ from .core_model import (
     ModelConfig,
     calibrate,
     conditional_probs,
-    q_to_rho,
+    rho_bounds,
 )
 
 # 2^(N+1) states.  At the cap one enumeration takes ~30 ms with its 5.2 MB
-# state table built and ~8 ms with it cached (one core, numpy 2.4.6).
+# state table built and ~8 ms with it cached (one core, numpy 2.4.6); one
+# table is cached per N, all of them together under 10.5 MB.
 MAX_ENUM_N = 16
 
 # Recorded in sampler output manifests; the seed fully determines the stream.
@@ -52,13 +53,13 @@ GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 BLOCK_ROWS = 16384
 
 
-@functools.lru_cache(maxsize=1)
+@functools.cache
 def _state_table(n: int) -> np.ndarray:
     """Statistics of all 2^(n+1) joint states as a read-only (5, states) array.
 
     The rows are l0, sum(li), l0*sum(li), l1 and l2.  The states run over the
     2^n leaf codes (bit i of a code is l(i+1)) with l0 = 0, then with l0 = 1.
-    Only the last table is kept, so repeated calls at one N build it once.
+    One table is kept per N, so repeated calls at any N build it once.
     Every state sweep builds its table here, so this is where N is bounded.
     """
     if not 2 <= n <= MAX_ENUM_N:
@@ -257,7 +258,10 @@ def maxent_fit_small(p: float, q: float, n: int) -> MaxEntFit:
     singular covariance, a step that does not reduce the residual norm or
     running out of steps raises MaxEntConvergenceError with the final norm.
     """
-    cfg = ModelConfig(n_credits=n, p=p, rho=q_to_rho(p, q))  # admissibility gate
+    rho_bounds(p)  # a bad p is reported before q
+    if not 0.0 < q < p:
+        raise AdmissibilityError(f"q={q!r} must lie strictly inside (0, p={p!r})")
+    cfg = ModelConfig(n_credits=n, p=p, rho=(q - p * p) / (p * (1.0 - p)))
     target = np.array([p, n * p, n * q])
     closed = calibrate(cfg)
     theta = np.array([closed.alpha0 + 0.5, closed.alpha, closed.beta])

@@ -208,14 +208,6 @@ class TestPmfCommand:
         assert not path.exists()
         assert not (tmp_path / "x.csv.manifest.json").exists()
 
-    def test_outdir_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DANDELION_RISK_OUTDIR", str(tmp_path))
-        code = main(["pmf", "--p", "0.4", "--rho", "0", "--n", "5",
-                     "--format", "csv", "--output", "rel.csv"])
-        capsys.readouterr()
-        assert code == 0
-        assert (tmp_path / "rel.csv").exists()
-        assert (tmp_path / "rel.csv.manifest.json").exists()
 
 
 class TestMetricsCommand:
@@ -274,6 +266,16 @@ class TestMetricsCommand:
         code, _, _ = run(capsys, "metrics", "--p", "0.4", "--rho", "0", "--n", "100",
                          "--level", "1.5")
         assert code == 2
+
+    def test_invalid_level_exits_2_before_the_pmf(self, monkeypatch, capsys):
+        def refused(cfg):
+            raise AssertionError("loss_pmf ran for a refused level")
+
+        monkeypatch.setattr(cli, "loss_pmf", refused)
+        code, out, err = run(capsys, "metrics", "--p", "0.4", "--rho", "0.1",
+                             "--n", "10000000", "--level", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: confidence level=1.0 must be in (0, 1)\n"
 
     def test_out_of_memory_exits_2(self, monkeypatch, capsys):
         # What `metrics --n 100000000000` raises; simulated, so nothing is allocated.
@@ -339,6 +341,12 @@ class TestScanCommand:
         assert code == 0
         assert '"rho_star": null' in out
         assert json.loads(out)["data"]["jump_size"] == 0
+
+    def test_margin_inside_the_eps_band_exits_2(self, capsys):
+        code, out, err = run(capsys, "scan", "--p", "0.4", "--n", "10", "--points", "3",
+                             "--margin", "5e-11")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: margin=5e-11 ")
 
     def test_too_coarse_grid_exits_2(self, capsys):
         code, _, _ = run(capsys, "scan", "--p", "0.4", "--n", "100", "--points", "2")

@@ -1,4 +1,4 @@
-"""Tests for parameter admissibility, rho<->q conversion, and calibration."""
+"""Tests for parameter admissibility, rho -> q, and calibration."""
 
 import itertools
 import math
@@ -16,7 +16,6 @@ from dandelion_risk import (
     ModelConfig,
     calibrate,
     conditional_probs,
-    q_to_rho,
     rho_bounds,
 )
 
@@ -54,11 +53,6 @@ class TestRhoQConversion:
         assert ModelConfig(2, 0.4, -0.5).q == pytest.approx(0.04, abs=1e-15)
         assert ModelConfig(2, 0.4, 0.26).q == pytest.approx(0.2224, abs=1e-15)
 
-    def test_q_to_rho_examples(self):
-        assert q_to_rho(0.4, 0.16) == pytest.approx(0.0, abs=1e-15)
-        assert q_to_rho(0.4, 0.04) == pytest.approx(-0.5, abs=1e-15)
-        assert q_to_rho(0.5, 0.25) == pytest.approx(0.0, abs=1e-15)
-
     def test_rejects_rho_outside_bounds(self):
         with pytest.raises(AdmissibilityError):
             ModelConfig(2, 0.4, -0.7)
@@ -72,15 +66,6 @@ class TestRhoQConversion:
             with pytest.raises(AdmissibilityError):
                 ModelConfig(10, 0.4, rho)
 
-    def test_rejects_q_outside_open_interval(self):
-        for q in (0.0, 0.4, -0.1, 0.5):
-            with pytest.raises(AdmissibilityError):
-                q_to_rho(0.4, q)
-
-    @given(p=st.floats(0.02, 0.98), t=st.floats(0.01, 0.99))
-    def test_round_trip(self, p, t):
-        rho = rho_at(p, t)
-        assert q_to_rho(p, ModelConfig(2, p, rho).q) == pytest.approx(rho, abs=1e-12)
 
 
 class TestModelConfig:

@@ -17,11 +17,12 @@ from dandelion_risk import (
     ModelConfig,
     enumerate_model,
     loss_pmf,
-    mode_of,
+    rho_bounds,
     risk_report,
     scan_rho,
     value_at_risk,
 )
+from dandelion_risk import metrics
 from dandelion_risk.distribution import EXP_FLOOR
 from dandelion_risk.metrics import _FIRST_BLOCK
 
@@ -171,26 +172,22 @@ class TestValueAtRisk:
         assert pos != neg  # not perfectly symmetrical
 
 
-class TestModeOf:
+class TestMode:
     def test_binomial_mode(self):
-        pmf = loss_pmf(ModelConfig(100, 0.4, 0.0))
-        mode, prob = mode_of(pmf)
-        assert mode == 40
-        assert prob == pytest.approx(stats.binom.pmf(40, 100, 0.4), abs=1e-13)
+        rep = risk_report(loss_pmf(ModelConfig(100, 0.4, 0.0)))
+        assert rep.mode == 40
+        assert rep.mode_prob == pytest.approx(stats.binom.pmf(40, 100, 0.4), abs=1e-13)
 
     def test_near_lower_bound_mode_is_almost_zero(self):
-        mode, _ = mode_of(loss_pmf(ModelConfig(100, 0.4, -2.0 / 3.0 + 1e-3)))
-        assert mode == 0
+        assert risk_report(loss_pmf(ModelConfig(100, 0.4, -2.0 / 3.0 + 1e-3))).mode == 0
 
     def test_just_above_transition(self):
-        mode, _ = mode_of(loss_pmf(ModelConfig(100, 0.4, -0.45)))
-        assert 55 <= mode <= 65
+        assert 55 <= risk_report(loss_pmf(ModelConfig(100, 0.4, -0.45))).mode <= 65
 
     def test_tie_breaks_to_smallest_index(self):
-        flat = LossPmf(np.full(5, np.log(0.2)))
-        mode, prob = mode_of(flat)
-        assert mode == 0
-        assert prob == pytest.approx(0.2, abs=1e-15)
+        rep = risk_report(LossPmf(np.full(5, np.log(0.2))))
+        assert rep.mode == 0
+        assert rep.mode_prob == pytest.approx(0.2, abs=1e-15)
 
 
 class TestRiskReport:
@@ -237,14 +234,16 @@ EXACT_CASES = [
 
 
 class TestExactOracle:
-    """Mode and VaR against `exact_masses`, the pmf of the exact rates as
-    integers."""
+    """Mode, peaks and VaR against `exact_masses`, the pmf of the exact rates
+    as integers."""
 
     @pytest.mark.parametrize("p, rho, n", EXACT_CASES)
-    def test_mode_and_var_are_exact(self, p, rho, n):
+    def test_mode_peaks_and_var_are_exact(self, p, rho, n):
         masses, total = exact_masses(p, rho, n)
         pmf = loss_pmf(ModelConfig(n, p, rho))
-        assert mode_of(pmf)[0] == masses.index(max(masses))
+        rep = risk_report(pmf)
+        assert rep.mode == masses.index(max(masses))
+        assert rep.peaks == tuple(oracle_peak_indices(masses))
         for level in (0.01, 0.5, 0.99, 1 - 1e-15):
             exact = exact_var(masses, total, level)
             if exact is not None:
@@ -322,7 +321,6 @@ class TestSpanReading:
         for level in levels:
             var, mode, peaks = full_support_reference(pmf.mass, level)
             assert value_at_risk(pmf, level) == var
-            assert mode_of(pmf) == (mode, pmf.mass[mode])
             rep = risk_report(pmf, level)
             assert (rep.var_value, rep.mode, rep.mode_prob) == (var, mode, pmf.mass[mode])
             assert rep.peaks == tuple(peaks)
@@ -480,6 +478,31 @@ class TestScanRho:
         # difference exceeds NaN, so NaN would never report a jump.
         with pytest.raises(AdmissibilityError, match=f"jump_threshold={text} must be >= 0"):
             scan_rho(0.1, 10, GridSpec(count=5), jump_threshold=threshold)
+
+    def test_rejects_bad_level_before_the_kernel(self, monkeypatch):
+        def kernel(n):
+            raise AssertionError("the kernel was built for a refused level")
+
+        monkeypatch.setattr(metrics, "_scan_kernel", kernel)
+        with pytest.raises(AdmissibilityError, match="level=1.0"):
+            scan_rho(0.4, 10**6, level=1.0)
+
+    @pytest.mark.parametrize("margin", [5e-11, 1e-300])
+    def test_rejects_margin_inside_the_eps_band(self, margin):
+        # The ends lie within EPS_BOUND of the bounds, so no --rho is at
+        # fault and the error names the margin.
+        with pytest.raises(AdmissibilityError, match=f"margin={margin!r}.*p=0.4"):
+            scan_rho(0.4, 10, GridSpec(count=3, margin=margin))
+
+    def test_margin_just_outside_the_eps_band_scans(self):
+        res = scan_rho(0.4, 10, GridSpec(count=3, margin=1e-9))
+        assert res.rho_grid[0] == rho_bounds(0.4).lower + 1e-9
+
+    @pytest.mark.parametrize("p, n, text", [(0.4, 1, "n_credits=1 must be"),
+                                            (1.0, 10, "p=1.0 must lie")])
+    def test_bad_n_or_p_keeps_its_message(self, p, n, text):
+        with pytest.raises(AdmissibilityError, match=text):
+            scan_rho(p, n, GridSpec(count=3))
 
     @pytest.mark.parametrize("threshold", [0, 10])
     def test_flat_modes_report_no_jump(self, threshold):

@@ -1,5 +1,7 @@
 """Tests for the verification engines: enumeration, sampling, MaxEnt fit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -261,8 +263,15 @@ class TestMaxEntFit:
         _state_table.cache_clear()
         maxent_fit_small(0.4, 0.2224, 8)
         info = _state_table.cache_info()
-        assert (info.misses, info.currsize, info.maxsize) == (1, 1, 1)
+        assert (info.misses, info.currsize) == (1, 1)
         assert info.hits == len(sweeps) - 1
+
+    def test_state_table_is_kept_for_each_n(self):
+        # Calls that alternate N build each N's table once.
+        _state_table.cache_clear()
+        for n in (9, 10, 9, 10):
+            enumerate_model(ModelConfig(n_credits=n, p=0.4, rho=0.26))
+        assert _state_table.cache_info().misses == 2
 
     def test_fit_sweeps_each_theta_once(self, monkeypatch):
         # One sweep for the start and one per Newton step: the step's sweep
@@ -324,6 +333,11 @@ class TestMaxEntFit:
         with pytest.raises(AdmissibilityError, match=">= 2"):
             maxent_sweep(np.zeros(3), n)[part]
 
-    def test_rejects_inadmissible_q(self):
-        with pytest.raises(AdmissibilityError):
-            maxent_fit_small(0.4, 0.45, 8)
+    @pytest.mark.parametrize("q", [0.45, 0.0, 0.4, -0.1, 0.5, math.nan])
+    def test_rejects_inadmissible_q(self, q):
+        with pytest.raises(AdmissibilityError, match="q="):
+            maxent_fit_small(0.4, q, 8)
+
+    def test_bad_p_is_reported_before_q(self):
+        with pytest.raises(AdmissibilityError, match="p=1.5 must lie"):
+            maxent_fit_small(1.5, 0.2, 8)

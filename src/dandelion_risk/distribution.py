@@ -15,17 +15,19 @@ mirrored: that pmf is an exact palindrome.  The scipy expansion of that
 mixture in ``tests/conftest.py`` is the cross-check oracle for the kernel.
 
 The kernel skips transcendental work whose result is already known in double
-precision, so its output is bit-for-bit that of the full-array formulas:
+precision, so its output is bit-for-bit that of the full-array formulas, with
+every mass below the smallest normal double flushed to 0.0:
 
 * The branch gap (c1 - c0) + (logit r1 - logit r0)*l is linear in l, and
   past a gap of ``LSE_GAP`` = 800, or of ``LSE_GAP_NARROW`` = 40 where
   every branch term on the support is at most -1/2, ``np.logaddexp``
   returns the larger branch bit for bit; so it runs only on the one window
   of l where the gap is smaller (:func:`_branch_window` states the rule).
-* ``exp`` of anything at or below ``EXP_FLOOR`` = -746 is exactly 0.0, so
-  the linear view exponentiates only its span: the first to the last log
-  mass above it.  Outside the span every mass is 0.0, so VaR, mode and peaks
-  read the span alone.
+* A log mass at or below ``EXP_FLOOR`` = log(DBL_MIN) = -708.396... has
+  mass 0.0, so no mass is subnormal: ``exp`` is slow on subnormal results,
+  and so are the sums that read them.  The linear view exponentiates only
+  its span, the first to the last log mass above the floor.  Outside the
+  span every mass is 0.0, so VaR, mode and peaks read the span alone.
 * log C(N, l) comes from one prefix of log-factorials shared by every N.
 
 ``loss_pmf`` allocates its result, the log masses and the linear masses, and
@@ -41,6 +43,7 @@ table is added into it, so a scan holds two arrays more (16 MB at N = 10**6).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +54,9 @@ from .core_model import ModelConfig, _branch_lines
 # it returns the larger term (the rule for each is in _branch_window).
 LSE_GAP = 800.0
 LSE_GAP_NARROW = 40.0
-# exp(t) is exactly 0.0 for t < -745.14.
-EXP_FLOOR = -746.0
+# Log masses at or below log(DBL_MIN) are flushed to 0.0: exp above it is a
+# normal double, so no mass is ever subnormal (a slow path in exp and sums).
+EXP_FLOOR = math.log(sys.float_info.min)
 _LOG_FOUR_THIRDS = math.log(4 / 3)
 
 # log k! = math.lgamma(k + 1) for k = 0, 1, ...; grown on demand, read-only.
@@ -108,12 +112,14 @@ class LossPmf:
 
     Both derived attributes are computed once, at construction.  `span` is
     [a, b), from the first to the last log mass above EXP_FLOOR: every mass
-    outside it is 0.0, and inside, exp also gives 0.0 up to -745.13.  The
-    read-only `mass` is exp(log_mass) elementwise.  Masses below ~1e-308
-    underflow to 0.0 in it, which happens in the far tails and, very close to
-    the admissible correlation boundary, between the two branches.  `total`
-    is the sum of the span's masses, mass[a:b].sum(), which the moments
-    divide by.
+    outside it is 0.0, and mass[a] and mass[b-1] are not.  The read-only
+    `mass` is exp(log_mass) where log_mass is above EXP_FLOOR and 0.0
+    elsewhere, so every mass below DBL_MIN = 2.2250738585072014e-308 reads
+    0.0 and no mass is subnormal.  That happens in the far tails and, very
+    close to the admissible correlation boundary, between the two branches.
+    The flush drops at most n+1 masses, each at most exp(EXP_FLOOR) <
+    2.3e-308.  `total` is the sum of the span's masses, mass[a:b].sum(),
+    which the moments divide by.
 
     A log_mass whose masses sum below 3/4 or above 4/3 raises ValueError; the
     kernel's sum is within ~1e-9 of 1 at N = 10**6.  At 3/4, any order of
@@ -275,7 +281,10 @@ def loss_moments(pmf: LossPmf) -> tuple[float, float]:
     For a calibrated model these equal N*p and N*p*(1-p)*(1 + (N-1)*rho**2).
     Both passes read the span alone and divide by its mass sum, `pmf.total`,
     and the variance is centred on the computed mean, so neither the sum's
-    rounding nor E[L]**2 is carried into it.
+    rounding nor E[L]**2 is carried into it.  The masses `LossPmf` flushes
+    to 0.0 sum below d = (N+1)*2.3e-308, so the flush moves the mean by at
+    most N*d/total and the variance by at most N**2*d/total (N**2*d is
+    2.3e-290 at N = 10**6), absolute terms beside the rounding of the sums.
     """
     a, b = pmf.span
     mass = pmf.mass[a:b]

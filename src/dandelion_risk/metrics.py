@@ -99,9 +99,10 @@ def value_at_risk(pmf: LossPmf, level: float) -> int:
     `_crossing`), in the same order of addition as a full cumulative sum, so
     it reads only the tail it needs and its error budget stands: both sums
     are within a relative delta = 1e-14*(N+1) + 1e-12 of the exact
-    tails (60-digit mpmath, N <= 10**4, rho up to 1e-6 from either bound), so
-    l is exact unless an exact tail lies within delta of 1 - level (of level
-    at or below 0.5); then l may be any loss where one does.
+    tails (60-digit mpmath, N <= 10**4, rho up to 1e-6 from either bound),
+    plus an absolute (N+1)*2.3e-308 from the masses `LossPmf` flushes to 0.0,
+    so l is exact unless an exact tail lies within that of 1 - level (of
+    level at or below 0.5); then l may be any loss where one does.
     """
     _check_level(level)
     # Masses outside the span are 0.0, so the sums over it are bit for bit

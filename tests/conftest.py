@@ -19,6 +19,7 @@ The accuracy of `math.lgamma` itself is checked against 60-digit mpmath in
 
 import functools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -83,10 +84,21 @@ def oracle_log_binom_table(n: int) -> np.ndarray:
     return table
 
 
+# Log masses at or below this read as mass 0.0: above it, exp is at least the
+# smallest normal double.  Written out here, not read from the package.
+LOG_DBL_MIN = math.log(sys.float_info.min)
+
+
+def oracle_mass(log_mass: np.ndarray) -> np.ndarray:
+    """exp of every log mass, with those at or below LOG_DBL_MIN flushed to 0.0."""
+    return np.where(log_mass > LOG_DBL_MIN, np.exp(log_mass), 0.0)
+
+
 def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     """(log_mass, mass) by the full-array formulas, with no entry skipped.
 
-    logaddexp and exp run on every entry; the package skips entries whose
+    logaddexp and exp run on every entry, and the masses of log mass at or
+    below LOG_DBL_MIN are flushed to 0.0; the package skips entries whose
     result is known, and must agree with this byte for byte.  At p = 1/2 the
     upper half is the lower half mirrored, as in the package.
     """
@@ -96,7 +108,7 @@ def oracle_loss_pmf_full(cfg) -> tuple[np.ndarray, np.ndarray]:
     log_mass = oracle_log_binom_table(n) + np.logaddexp(c0 + slope0 * l, c1 + slope1 * l)
     if cfg.p == 0.5:
         log_mass[n - n // 2:] = log_mass[n // 2::-1]
-    return log_mass, np.exp(log_mass)
+    return log_mass, oracle_mass(log_mass)
 
 
 def exact_masses(p: float, rho: float, n: int) -> tuple[list[int], int]:

@@ -38,6 +38,13 @@ def assert_json_document(out, data):
     assert out.split(", ") == expected.split(", ")
 
 
+def flush_term(n, power):
+    """`loss_moments`' bound on how far flushing the masses below DBL_MIN to
+    0.0 moves the mean (power 1) or the variance (power 2): n**power * d /
+    total, with d = (n+1)*2.3e-308 and total >= 3/4."""
+    return n**power * (n + 1) * 2.3e-308 / 0.75
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -235,11 +242,18 @@ class TestMetricsCommand:
         assert joined["manifest"]["parameters"] == spaced["manifest"]["parameters"]
 
     def test_subnormal_p(self, capsys):
-        # 1/p overflows here, so no closed form may divide by p.
+        # 1/p overflows here, so no closed form may divide by p.  Every mass
+        # past l = 0 is below the smallest normal double and reads 0.0, so the
+        # report is that of a point mass at 0; the closed-form moments lie
+        # within the flush's terms of `loss_moments` of it.
         argv = ["--p", "1e-310", "--rho", "0.5", "--n", "10"]
         code, out, _ = run(capsys, "metrics", *argv)
         assert code == 0
-        assert json.loads(out)["data"]["mean"] == pytest.approx(10 * 1e-310, rel=1e-12)
+        data = json.loads(out)["data"]
+        assert data == {"mean": 0.0, "mode": 0, "mode_prob": 1.0, "peaks": [0],
+                        "var_level": 0.99, "var_value": 0, "variance": 0.0}
+        assert abs(data["mean"] - 10 * 1e-310) <= flush_term(10, 1)
+        assert abs(data["variance"] - 10 * 1e-310 * (1 + 9 * 0.25)) <= flush_term(10, 2)
         code, out, _ = run(capsys, "calibrate", *argv)
         assert code == 0
         assert "inf" not in out
@@ -251,7 +265,8 @@ class TestMetricsCommand:
         # q = p**2 underflows to 0.0, which no computation reads.
         code, out, _ = run(capsys, "metrics", "--p", repr(p), "--rho", "0", "--n", "10")
         assert code == 0
-        assert json.loads(out)["data"]["mean"] == pytest.approx(10 * p, rel=1e-12)
+        assert json.loads(out)["data"]["mean"] == pytest.approx(
+            10 * p, rel=1e-12, abs=flush_term(10, 1))
 
     @pytest.mark.parametrize("command", [["metrics"], ["sample", "--count", "10"]],
                              ids=["metrics", "sample"])

@@ -37,9 +37,11 @@ from dandelion_risk.distribution import (
 from dandelion_risk.core_model import _branch_lines
 
 from conftest import (
+    LOG_DBL_MIN,
     lower_bound,
     oracle_log_binom_table,
     oracle_loss_pmf_full,
+    oracle_mass,
     oracle_mixture_pmf,
     oracle_peak_indices,
     rho_at,
@@ -126,6 +128,15 @@ def kernel_configs(draw):
     return ModelConfig(n_credits=n, p=p, rho=rho)
 
 
+def assert_no_subnormal_mass(pmf):
+    """Every non-zero mass is at least DBL_MIN, and the span's ends are
+    non-zero."""
+    mass = pmf.mass
+    a, b = pmf.span
+    assert mass[a] != 0.0 and mass[b - 1] != 0.0
+    assert mass[mass != 0.0].min() >= sys.float_info.min
+
+
 # Cancellation in c1 + slope1*N leaves the larger branch term at exactly 0.0
 # here, where logaddexp returns the addend (2.05e-199 in the first), not 0.
 ZERO_TOP_TERM = [
@@ -151,6 +162,7 @@ class TestSkippedWork:
         pmf = loss_pmf(cfg)
         assert pmf.log_mass.tobytes() == log_mass.tobytes()
         assert pmf.mass.tobytes() == mass.tobytes()
+        assert_no_subnormal_mass(pmf)
 
     @pytest.mark.parametrize(
         "rho", [-2.0 / 3.0 + 1e-9, -0.5, 0.0, 5e-324, -5e-324, 0.3, 1.0 - 1e-9]
@@ -161,13 +173,23 @@ class TestSkippedWork:
         pmf = loss_pmf(cfg)
         assert pmf.log_mass.tobytes() == log_mass.tobytes()
         assert pmf.mass.tobytes() == mass.tobytes()
+        assert_no_subnormal_mass(pmf)
 
     def test_mass_around_exp_floor(self):
-        # Spans the subnormal results just above the floor and the exact
-        # zeros below it; the last entry, a mass of 1, makes the sum valid.
-        log_mass = np.append(np.linspace(EXP_FLOOR - 30.0, -690.0, 2001), 0.0)
+        # Spans the zeros below the floor, exp's subnormal band (-745.13,
+        # -708.4] among them, and the smallest normal masses above it; the
+        # last entry, a mass of 1, makes the sum valid.
+        log_mass = np.append(np.linspace(-776.0, -690.0, 2001), 0.0)
         pmf = LossPmf(log_mass)
-        assert pmf.mass.tobytes() == np.exp(log_mass).tobytes()
+        assert pmf.mass.tobytes() == oracle_mass(log_mass).tobytes()
+        assert not pmf.mass[log_mass <= LOG_DBL_MIN].any()
+
+    def test_exp_just_above_the_floor_is_normal(self):
+        # exp is increasing, so every log mass above the floor has a normal
+        # mass; the array form goes through numpy's SIMD loop.
+        assert EXP_FLOOR == LOG_DBL_MIN
+        assert np.exp(np.nextafter(EXP_FLOOR, 0.0)) >= sys.float_info.min
+        assert np.exp(np.full(64, np.nextafter(EXP_FLOOR, 0.0))).min() >= sys.float_info.min
 
     @settings(max_examples=300, deadline=None)
     @given(

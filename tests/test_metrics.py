@@ -1,6 +1,7 @@
 """Tests for VaR, mode, risk reports, and the correlation scan."""
 
 import math
+import sys
 from itertools import accumulate
 
 import mpmath
@@ -26,7 +27,7 @@ from dandelion_risk import metrics
 from dandelion_risk.distribution import EXP_FLOOR
 from dandelion_risk.metrics import _FIRST_BLOCK
 
-from conftest import exact_masses, lower_bound, oracle_peak_indices, rho_at
+from conftest import exact_masses, lower_bound, oracle_mass, oracle_peak_indices, rho_at
 
 # Frozen by two independent routes: a scipy-only binomial-mixture sweep and a
 # 50+ digit direct evaluation of the closed-form pmf.  The argmax of the loss
@@ -261,12 +262,13 @@ def full_support_reference(mass: np.ndarray, level: float) -> tuple[int, int, li
     return max(var, 0), int(np.argmax(mass)), oracle_peak_indices(mass)
 
 
-# Log masses: below EXP_FLOOR (exactly 0.0 in `mass`), in (-746, -745.1]
-# (above the floor, so inside the span, but exp still gives 0.0), subnormal,
-# and large enough to sum past 1; the sampled values make plateaus and ties.
-BELOW_FLOOR = st.sampled_from([EXP_FLOOR, -800.0, -1e4]) | st.floats(-1e5, EXP_FLOOR)
-ZERO_ABOVE_FLOOR = st.sampled_from([np.nextafter(EXP_FLOOR, 0.0), -745.5, -745.1])
-HUMP = st.sampled_from([-1.0, -2.0, -740.0]) | st.floats(-60.0, 0.5)
+# Log masses: at or below EXP_FLOOR (exactly 0.0 in `mass`, exp's subnormal
+# band included), the smallest normal masses just above it, and large enough
+# to sum past 1; the sampled values make plateaus and ties.
+BELOW_FLOOR = (st.sampled_from([EXP_FLOOR, -720.0, -745.5, -800.0, -1e4])
+               | st.floats(-1e5, EXP_FLOOR))
+TINY_ABOVE_FLOOR = st.sampled_from([np.nextafter(EXP_FLOOR, 0.0), -708.3, -708.0])
+HUMP = st.sampled_from([-1.0, -2.0, -705.0]) | st.floats(-60.0, 0.5)
 
 
 @st.composite
@@ -277,8 +279,8 @@ def span_pmfs(draw):
     above -700 is shifted by the same amount, keeping ties, the rest kept."""
     left = draw(st.lists(BELOW_FLOOR, max_size=6))
     body = draw(st.lists(
-        st.lists(HUMP | ZERO_ABOVE_FLOOR, min_size=1, max_size=8)
-        | st.lists(BELOW_FLOOR | ZERO_ABOVE_FLOOR, min_size=1, max_size=5),
+        st.lists(HUMP | TINY_ABOVE_FLOOR, min_size=1, max_size=8)
+        | st.lists(BELOW_FLOOR | TINY_ABOVE_FLOOR, min_size=1, max_size=5),
         max_size=5,
     ))
     right = draw(st.lists(BELOW_FLOOR, max_size=6))
@@ -305,8 +307,8 @@ class TestSpanReading:
     # A single non-zero mass, at an end and inside.
     @example(log_mass=[0.0, -800.0, -900.0], levels=[0.3, 0.99])
     @example(log_mass=[-800.0, -745.5, 0.0, -745.5, -800.0], levels=[0.3, 0.99])
-    # Two humps with a zero gap and zero-mass entries at the span ends.
-    @example(log_mass=[-1e4, -745.5, -1.0, -2.0, -900.0, -745.2, -2.0, -1.0, -745.5, -800.0],
+    # Two humps with a zero gap, and the smallest normal masses at the span ends.
+    @example(log_mass=[-1e4, -708.3, -1.0, -2.0, -900.0, -745.2, -2.0, -1.0, -708.3, -800.0],
              levels=[0.2, 0.5, 0.8])
     # Two humps of exactly equal masses: the mode is the first.
     @example(log_mass=[-800.0, -2.0, -1.2, -2.0, -900.0, -2.0, -1.2, -2.0, -800.0],
@@ -314,10 +316,11 @@ class TestSpanReading:
     @settings(max_examples=400, deadline=None)
     def test_equals_full_support_reference(self, log_mass, levels):
         pmf = LossPmf(np.array(log_mass))
-        assert pmf.mass.tobytes() == np.exp(pmf.log_mass).tobytes()
+        assert pmf.mass.tobytes() == oracle_mass(pmf.log_mass).tobytes()
         a, b = pmf.span
         assert 0 <= a < b <= pmf.n + 1
         assert not pmf.mass[:a].any() and not pmf.mass[b:].any()
+        assert pmf.mass[a] >= sys.float_info.min and pmf.mass[b - 1] >= sys.float_info.min
         for level in levels:
             var, mode, peaks = full_support_reference(pmf.mass, level)
             assert value_at_risk(pmf, level) == var
@@ -347,7 +350,7 @@ class TestSpanReading:
 
     @pytest.mark.parametrize("log_mass", [
         pytest.param([-800.0, EXP_FLOOR, -1e4], id="all-below-floor"),
-        pytest.param([-800.0, -745.5, -745.2, -800.0], id="all-zero-above-floor"),
+        pytest.param([-800.0, -708.3, -708.0, -800.0], id="all-tiny-above-floor"),
         pytest.param([-800.0, -3.0, -2.0, -3.0, -800.0], id="sum-below-half"),
     ])
     def test_refuses_masses_summing_below_three_quarters(self, log_mass):
@@ -364,8 +367,9 @@ class TestSpanReading:
             LossPmf(np.array(log_mass))
 
     def test_span_ends_at_the_last_entry_above_floor(self):
-        pmf = LossPmf(np.array([-800.0, -745.5, -0.1, -900.0, -2.0, EXP_FLOOR]))
+        pmf = LossPmf(np.array([-800.0, -708.3, -0.1, -745.5, -2.0, EXP_FLOOR]))
         assert pmf.span == (1, 5)
+        assert pmf.mass.tobytes() == oracle_mass(pmf.log_mass).tobytes()
 
     def test_writeable_input_is_copied(self):
         log_mass = np.log([0.25, 0.5, 0.25])

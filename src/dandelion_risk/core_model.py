@@ -11,8 +11,8 @@ default rates conditional on the central node, r0 = p*(1-rho) and
 r1 = p + rho*(1-p).  q = E[L0*Li] = rho*p*(1-p) + p**2 = p*r1 is the joint
 default probability of the central node and any leaf.
 
-:class:`ModelConfig` is the one admissibility check: it compares rho with the
-bounds of :func:`rho_bounds`, and its ``q`` property forms q.
+:class:`ModelConfig` is the one admissibility check, of N and of rho against
+:func:`rho_bounds`, and its ``q`` property forms q.
 
 Everything here works in log space: Z = (1-r0)^-N / (1-p) is never formed in
 linear space because it can overflow a double at N ~ 100.
@@ -29,6 +29,9 @@ import numpy as np
 # where the calibration's logarithms diverge; at the lower end it is relative
 # to |lower|, which shrinks with p or 1-p (-1e-12 at p = 1e-12).
 EPS_BOUND = 1e-10
+
+# The largest N: numpy's binomial takes no larger n, an int64 cell no larger loss.
+_MAX_N = np.iinfo(np.int64).max
 
 
 class AdmissibilityError(ValueError):
@@ -69,10 +72,10 @@ class ModelConfig:
     """User-facing model parameters: portfolio size, default probability, correlation.
 
     Both the central node and the leaves share the same marginal default
-    probability p.  Validation enforces rho strictly inside the open interval
-    from :func:`rho_bounds`, at distance > EPS_BOUND*|lower| from the lower
-    end and > EPS_BOUND from the upper end 1, and that neither conditional
-    rate of :func:`conditional_probs` nor its complement rounds to 0.0.
+    probability p.  Validation enforces 2 <= N <= 2**63 - 1, rho strictly
+    inside the open interval from :func:`rho_bounds`, > EPS_BOUND*|lower|
+    from the lower end and > EPS_BOUND from the upper end 1, and that no
+    rate of :func:`conditional_probs` or its complement rounds to 0.0.
     """
 
     n_credits: int
@@ -80,10 +83,9 @@ class ModelConfig:
     rho: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_credits, (int, np.integer)) or self.n_credits < 2:
-            raise AdmissibilityError(
-                f"n_credits={self.n_credits!r} must be an integer >= 2"
-            )
+        n = self.n_credits
+        if not isinstance(n, (int, np.integer)) or not 2 <= n <= _MAX_N:
+            raise AdmissibilityError(f"n_credits={n!r} must be an integer in [2, {_MAX_N}]")
         bounds = rho_bounds(self.p)
         if not math.isfinite(self.rho):
             raise AdmissibilityError(f"rho={self.rho!r} is not finite")

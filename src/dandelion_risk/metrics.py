@@ -31,14 +31,15 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Correlation grid: `count` points, `margin` inside each open bound."""
+    """Correlation grid: `count` <= intp max // 8 points, `margin` inside each open bound."""
 
     count: int = 201
     margin: float = 1e-3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.count, (int, np.integer)) or self.count < 3:
-            raise AdmissibilityError(f"grid count={self.count!r} must be an integer >= 3")
+        count, top = self.count, np.iinfo(np.intp).max // 8
+        if not isinstance(count, (int, np.integer)) or not 3 <= count <= top:
+            raise AdmissibilityError(f"grid count={count!r} must be an integer in [3, {top}]")
         if not self.margin > 0.0:
             raise AdmissibilityError(f"grid margin={self.margin!r} must be > 0")
 

@@ -132,7 +132,8 @@ def sampler(cfg: ModelConfig, count: int, seed: int):
     its columns need: `draw_index` alone nothing, `l0` no loss.  The l0 and
     loss blocks, stacked, are `sample`'s array.  The checks run here, not in
     `blocks`, whose body runs only when its first block is asked for, so a
-    caller can refuse bad input before it writes.
+    caller can refuse bad input before it writes.  `cfg` holds N to int64,
+    the largest n `binomial` takes, so only `count` and the seed are checked.
 
     `sample` once drew its l0 column with `random(count)` and then its losses
     with one `binomial` call on the same PCG64 stream.  `random` takes one
@@ -146,10 +147,6 @@ def sampler(cfg: ModelConfig, count: int, seed: int):
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise AdmissibilityError(f"count={count!r} must be an integer >= 1")
-    int64_max = np.iinfo(np.int64).max  # the largest N rng.binomial takes
-    if cfg.n_credits > int64_max:
-        raise AdmissibilityError(f"n_credits={cfg.n_credits} exceeds the sampler "
-                                 f"bound {int64_max} (int64)")
     rates = np.array(conditional_probs(cfg))  # given L0 = 0, given L0 = 1
     seeds = np.random.SeedSequence(seed)  # refuses a negative seed
 

@@ -367,6 +367,17 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--p", "0.4", "--n", "100", "--points", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("points", [2**63 - 1, 2**63, 10**400],
+                             ids=["2**63-1", "2**63", "10**400"])
+    def test_grid_no_float64_array_holds_exits_2(self, capsys, points):
+        # numpy's `arange` under `linspace` returns an empty array for a
+        # length that rounds to 2**63, so the grid's count is bounded first.
+        code, out, err = run(capsys, "scan", "--p", "0.4", "--n", "10",
+                             "--points", str(points))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: grid count={points} ") and err.count("\n") == 1
+        assert str(np.iinfo(np.intp).max // 8) in err
+
 
 class TestSampleCommand:
     def test_seeded_reruns_identical(self, tmp_path, capsys):
@@ -454,6 +465,30 @@ class TestSampleCommand:
         empirical = np.bincount(loss, minlength=101) / 1e6
         mass = np.loadtxt(pmf_file, delimiter=",", skiprows=1, usecols=1)
         assert 0.5 * np.abs(empirical - mass).sum() < 0.005
+
+
+# Every subcommand's flags but --n.  At N = 2**63 - 1 only calibrate and
+# sample need no array of N + 1 entries.
+SIZE_ARGS = {"calibrate": ["--rho", "0.1"], "metrics": ["--rho", "0.1"],
+             "pmf": ["--rho", "0.1"], "scan": [],
+             "sample": ["--rho", "0.1", "--count", "1"]}
+
+
+@pytest.mark.parametrize("n", [2**63 - 1, 2**63, 10**20, 10**400],
+                         ids=["2**63-1", "2**63", "10**20", "10**400"])
+@pytest.mark.parametrize("command", list(SIZE_ARGS))
+def test_n_past_any_array_exits_without_a_traceback(capsys, command, n):
+    # ModelConfig refuses an N past int64 by name; at int64's largest value
+    # the log-binomial table cannot be sized, which also exits 2.
+    code, _, err = run(capsys, command, "--p", "0.4", "--n", str(n), *SIZE_ARGS[command])
+    assert "Traceback" not in err
+    if n == 2**63 - 1 and command in ("calibrate", "sample"):
+        assert code == 0
+        return
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if n > 2**63 - 1:
+        assert f"n_credits={n} must be an integer in [2, 9223372036854775807]" in err
 
 
 # Counts on both sides of one and two block edges, and one of many blocks.

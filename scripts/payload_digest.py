@@ -15,8 +15,15 @@ REV in a temporary directory, which is removed afterwards; the payloads whose
 digests differ are printed, and the exit status is 1 if any do.  Without it,
 the exit status is 1 if any exit code is not the one listed.
 
-The digests are not pinned in a test: numpy's SIMD `exp` and `log` may differ
-in the last bit between CPUs, so only two runs on one machine compare.
+The first line reads `fingerprint <fingerprint>`: numpy's version and a short
+sha256 of `np.exp` and `np.log` over fixed probes.  numpy's SIMD `exp` and
+`log` may differ in the last bit between CPUs, and its random streams between
+versions, so digests compare only under one fingerprint.
+`tests/payload_digests.json` holds `{name: [exit code, digest]}` under each
+fingerprint it was made on, and `tests/test_payload_digest.py` compares the
+running digests with the entry for the running fingerprint, if there is one.
+A change that moves a payload rewrites every entry it can make, and declares
+it; an entry is the script's output under its first line's fingerprint.
 
     python scripts/payload_digest.py
     python scripts/payload_digest.py --compare HEAD~1
@@ -30,6 +37,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -76,6 +85,23 @@ PAYLOADS = [
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
 
 
+def fingerprint() -> str:
+    """numpy's version and a short sha256 of `np.exp` and `np.log` over fixed probes.
+
+    The exp probe is 65537 even points of [-708, 0], the range of the masses'
+    `exp`; the log probe is 65536 doubles spread by their bits over
+    (0, 1e300], subnormals included.  Both are built by exact or correctly
+    rounded arithmetic, so only the functions' own bits can move the hash:
+    on one x86 machine the AVX-512 and AVX2 dispatch paths of numpy's `exp`
+    give two fingerprints.
+    """
+    top = np.array(1e300).view(np.int64)
+    probes = (np.exp(np.linspace(-708.0, 0.0, 65537)),
+              np.log((np.arange(1, 65537) * (top // 65536)).view(np.float64)))
+    digest = hashlib.sha256(b"".join(probe.tobytes() for probe in probes))
+    return f"numpy-{np.__version__}-{digest.hexdigest()[:16]}"
+
+
 def run_payload(root: Path, argv) -> tuple[int, str]:
     """Run one invocation against the package under `root`; (exit code, digest)."""
     env = {**os.environ,
@@ -120,6 +146,7 @@ def main() -> int:
                         help="Also run the payloads from a git worktree of REV "
                              "and list those whose digests differ.")
     args = parser.parse_args()
+    print("fingerprint", fingerprint(), flush=True)
     here = digests(ROOT)
     if args.compare is None:
         wrong = [name for name, code, _ in PAYLOADS if here[name][0] != code]

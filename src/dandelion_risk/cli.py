@@ -14,8 +14,8 @@ Every check on a command's input runs before its output is opened.  `sample`
 then draws its rows a block at a time as it writes them, so its memory does
 not grow with `--count`; the other commands compute their result first.
 
-Exit codes: 0 success, 2 argument or domain error (including an `--n` too
-large to allocate or to size an array), 3 I/O error: an output file or
+Exit codes: 0 success, 2 argument or domain error (a size past core_model's
+_MAX_LENGTH, or too large to allocate), 3 I/O error: an output file or
 sidecar that cannot be written, or a stdout or stderr that is closed or full.
 """
 
@@ -245,8 +245,7 @@ def main(argv=None) -> int:
                   args.output)
         sys.stdout.flush()
         return 0
-    except (ValueError, MemoryError, OverflowError) as exc:
-        # MemoryError: a size too large to allocate; OverflowError: one no array can have.
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate
         code, message = 2, f"error: {exc}\n"
     except OSError as exc:
         code, message = 3, f"error: cannot write output: {exc}\n"

@@ -30,8 +30,8 @@ import numpy as np
 # to |lower|, which shrinks with p or 1-p (-1e-12 at p = 1e-12).
 EPS_BOUND = 1e-10
 
-# The largest N: numpy's binomial takes no larger n, an int64 cell no larger loss.
-_MAX_N = np.iinfo(np.int64).max
+# The largest N, grid count or sample count: the 8-byte entries one array holds.
+_MAX_LENGTH = np.iinfo(np.intp).max // 8
 
 
 class AdmissibilityError(ValueError):
@@ -71,8 +71,8 @@ def rho_bounds(p: float) -> RhoInterval:
 class ModelConfig:
     """User-facing model parameters: portfolio size, default probability, correlation.
 
-    Both the central node and the leaves share the same marginal default
-    probability p.  Validation enforces 2 <= N <= 2**63 - 1, rho strictly
+    All N + 1 nodes share one default probability p.  Validation enforces
+    2 <= N <= _MAX_LENGTH, the entries one float64 array holds, rho strictly
     inside the open interval from :func:`rho_bounds`, > EPS_BOUND*|lower|
     from the lower end and > EPS_BOUND from the upper end 1, and that no
     rate of :func:`conditional_probs` or its complement rounds to 0.0.
@@ -84,8 +84,8 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         n = self.n_credits
-        if not isinstance(n, (int, np.integer)) or not 2 <= n <= _MAX_N:
-            raise AdmissibilityError(f"n_credits={n!r} must be an integer in [2, {_MAX_N}]")
+        if not isinstance(n, (int, np.integer)) or not 2 <= n <= _MAX_LENGTH:
+            raise AdmissibilityError(f"n_credits={n!r} must be an integer in [2, {_MAX_LENGTH}]")
         bounds = rho_bounds(self.p)
         if not math.isfinite(self.rho):
             raise AdmissibilityError(f"rho={self.rho!r} is not finite")

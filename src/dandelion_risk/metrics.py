@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_model import AdmissibilityError, ModelConfig, rho_bounds
+from .core_model import _MAX_LENGTH, AdmissibilityError, ModelConfig, rho_bounds
 from .distribution import LossPmf, _scan_kernel, loss_moments, peak_indices
 
 
@@ -31,15 +31,15 @@ class RiskReport:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Correlation grid: `count` <= intp max // 8 points, `margin` inside each open bound."""
+    """Correlation grid: `count` <= _MAX_LENGTH points, `margin` inside each open bound."""
 
     count: int = 201
     margin: float = 1e-3
 
     def __post_init__(self) -> None:
-        count, top = self.count, np.iinfo(np.intp).max // 8
-        if not isinstance(count, (int, np.integer)) or not 3 <= count <= top:
-            raise AdmissibilityError(f"grid count={count!r} must be an integer in [3, {top}]")
+        if not isinstance(self.count, (int, np.integer)) or not 3 <= self.count <= _MAX_LENGTH:
+            raise AdmissibilityError(
+                f"grid count={self.count!r} must be an integer in [3, {_MAX_LENGTH}]")
         if not self.margin > 0.0:
             raise AdmissibilityError(f"grid margin={self.margin!r} must be > 0")
 

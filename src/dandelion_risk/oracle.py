@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import (
+    _MAX_LENGTH,
     AdmissibilityError,
     CalibratedParams,
     ModelConfig,
@@ -132,8 +133,8 @@ def sampler(cfg: ModelConfig, count: int, seed: int):
     its columns need: `draw_index` alone nothing, `l0` no loss.  The l0 and
     loss blocks, stacked, are `sample`'s array.  The checks run here, not in
     `blocks`, whose body runs only when its first block is asked for, so a
-    caller can refuse bad input before it writes.  `cfg` holds N to int64,
-    the largest n `binomial` takes, so only `count` and the seed are checked.
+    caller can refuse bad input before it writes.  `cfg` has checked N, so
+    only `count`, to the same _MAX_LENGTH, and the seed are checked here.
 
     `sample` once drew its l0 column with `random(count)` and then its losses
     with one `binomial` call on the same PCG64 stream.  `random` takes one
@@ -145,8 +146,8 @@ def sampler(cfg: ModelConfig, count: int, seed: int):
     short of them.  The split rests on numpy's word use; a test pins it
     against the one-call form.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise AdmissibilityError(f"count={count!r} must be an integer >= 1")
+    if not isinstance(count, (int, np.integer)) or not 1 <= count <= _MAX_LENGTH:
+        raise AdmissibilityError(f"count={count!r} must be an integer in [1, {_MAX_LENGTH}]")
     rates = np.array(conditional_probs(cfg))  # given L0 = 0, given L0 = 1
     seeds = np.random.SeedSequence(seed)  # refuses a negative seed
 

@@ -88,6 +88,11 @@ def oracle_log_binom_table(n: int) -> np.ndarray:
 # smallest normal double.  Written out here, not read from the package.
 LOG_DBL_MIN = math.log(sys.float_info.min)
 
+# The one bound on --n, --points and --count: the 8-byte entries one array
+# holds, np.iinfo(np.intp).max // 8 on a 64-bit build.  Written out here, not
+# read from the package.
+LENGTH_BOUND = 1152921504606846975
+
 
 def oracle_mass(log_mass: np.ndarray) -> np.ndarray:
     """exp of every log mass, with those at or below LOG_DBL_MIN flushed to 0.0."""

@@ -23,7 +23,7 @@ from dandelion_risk import _text, cli
 from dandelion_risk.cli import build_parser, main
 from dandelion_risk.oracle import BLOCK_ROWS
 
-from conftest import oracle_sample, traced_peak
+from conftest import LENGTH_BOUND, oracle_sample, traced_peak
 
 # More rows than two CSV blocks, ending part-way through the third.
 MULTI_BLOCK_ROWS = 2 * BLOCK_ROWS + 5
@@ -367,18 +367,6 @@ class TestScanCommand:
         code, _, _ = run(capsys, "scan", "--p", "0.4", "--n", "100", "--points", "2")
         assert code == 2
 
-    @pytest.mark.parametrize("points", [2**63 - 1, 2**63, 10**400],
-                             ids=["2**63-1", "2**63", "10**400"])
-    def test_grid_no_float64_array_holds_exits_2(self, capsys, points):
-        # numpy's `arange` under `linspace` returns an empty array for a
-        # length that rounds to 2**63, so the grid's count is bounded first.
-        code, out, err = run(capsys, "scan", "--p", "0.4", "--n", "10",
-                             "--points", str(points))
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: grid count={points} ") and err.count("\n") == 1
-        assert str(np.iinfo(np.intp).max // 8) in err
-
-
 class TestSampleCommand:
     def test_seeded_reruns_identical(self, tmp_path, capsys):
         paths = [tmp_path / "d1.csv", tmp_path / "d2.csv"]
@@ -428,8 +416,9 @@ class TestSampleCommand:
         assert code == 2
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("flag", ["--seed=-1", "--count=0", f"--n={2**63}"],
-                             ids=["seed", "count", "n"])
+    @pytest.mark.parametrize("flag", ["--seed=-1", "--count=0", f"--n={2**63}",
+                                      f"--count={LENGTH_BOUND + 1}"],
+                             ids=["seed", "count", "n", "count_past_bound"])
     def test_refused_input_writes_no_file(self, tmp_path, capsys, flag, fmt):
         # The rows are drawn as they are written, so every check on the input
         # runs before the output file is opened.
@@ -439,18 +428,6 @@ class TestSampleCommand:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
-
-    def test_n_past_int64_exits_2(self, capsys):
-        code, _, err = run(capsys, "sample", "--p", "0.4", "--rho", "0.1",
-                           "--n", str(2**63), "--count", "1")
-        assert code == 2
-        assert str(2**63 - 1) in err
-
-    def test_n_at_int64_max_exits_0(self, capsys):
-        code, out, _ = run(capsys, "sample", "--p", "0.4", "--rho", "0.1",
-                           "--n", str(2**63 - 1), "--count", "1", "--format", "csv")
-        assert code == 0
-        assert out.splitlines()[0] == "draw_index,l0,loss"
 
     def test_total_variation_against_pmf_command(self, tmp_path, capsys):
         draws = tmp_path / "draws.csv"
@@ -467,28 +444,51 @@ class TestSampleCommand:
         assert 0.5 * np.abs(empirical - mass).sum() < 0.005
 
 
-# Every subcommand's flags but --n.  At N = 2**63 - 1 only calibrate and
-# sample need no array of N + 1 entries.
+# Every subcommand's flags but --n.
 SIZE_ARGS = {"calibrate": ["--rho", "0.1"], "metrics": ["--rho", "0.1"],
              "pmf": ["--rho", "0.1"], "scan": [],
              "sample": ["--rho", "0.1", "--count", "1"]}
+PAST_BOUND = {"bound+1": LENGTH_BOUND + 1, "2**63": 2**63, "10**400": 10**400}
+# (command, argv after --p, exit code, text of the one error line); no size lies
+# in (10**6, 10**18), where numpy would try to allocate.  At N = LENGTH_BOUND
+# calibrate and sample need no array of N + 1 entries; pmf, metrics and scan
+# ask for one, which numpy refuses at once, as too big to size or as an 8 EiB
+# allocation, so no memory is used.  Past the bound --n, --points and --count
+# are each refused by name: `linspace` would return an empty grid for a
+# --points that rounds to 2**63, and `binomial` takes no n past int64.
+SIZE_CASES = {
+    **{f"{command}-n={name}": (command, ["--n", str(n), *args], 2,
+                               f"n_credits={n} must be an integer in [2, {LENGTH_BOUND}]")
+       for command, args in SIZE_ARGS.items() for name, n in PAST_BOUND.items()},
+    **{f"{command}-n=bound": (command, ["--n", str(LENGTH_BOUND), *args],
+                              0 if command in ("calibrate", "sample") else 2, None)
+       for command, args in SIZE_ARGS.items()},
+    **{f"scan-points={name}": ("scan", ["--n", "10", "--points", str(count)], 2,
+                               f"grid count={count} must be an integer in [3, {LENGTH_BOUND}]")
+       for name, count in PAST_BOUND.items()},
+    **{f"sample-count={name}": ("sample", ["--n", "10", "--rho", "0.1", "--count", str(count)],
+                                2, f"count={count} must be an integer in [1, {LENGTH_BOUND}]")
+       for name, count in PAST_BOUND.items()},
+}
 
 
-@pytest.mark.parametrize("n", [2**63 - 1, 2**63, 10**20, 10**400],
-                         ids=["2**63-1", "2**63", "10**20", "10**400"])
-@pytest.mark.parametrize("command", list(SIZE_ARGS))
-def test_n_past_any_array_exits_without_a_traceback(capsys, command, n):
-    # ModelConfig refuses an N past int64 by name; at int64's largest value
-    # the log-binomial table cannot be sized, which also exits 2.
-    code, _, err = run(capsys, command, "--p", "0.4", "--n", str(n), *SIZE_ARGS[command])
+@pytest.mark.parametrize("command, argv, code, message", list(SIZE_CASES.values()),
+                         ids=list(SIZE_CASES))
+def test_sizes_at_and_past_the_length_bound(capsys, command, argv, code, message):
+    got, out, err = run(capsys, command, "--p", "0.4", *argv)
     assert "Traceback" not in err
-    if n == 2**63 - 1 and command in ("calibrate", "sample"):
-        assert code == 0
+    assert got == code
+    if code == 0:
+        if command == "sample":
+            header, row = out.splitlines()[:2]
+            assert header == "draw_index,l0,loss"
+            assert 0 <= int(row.split(",")[2]) <= LENGTH_BOUND
         return
-    assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if n > 2**63 - 1:
-        assert f"n_credits={n} must be an integer in [2, 9223372036854775807]" in err
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    if message is None:
+        assert "array is too big" in err or "Unable to allocate 8.00 EiB" in err
+    else:
+        assert err == f"error: {message}\n"
 
 
 # Counts on both sides of one and two block edges, and one of many blocks.
@@ -497,7 +497,7 @@ SPLIT_COUNTS = [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
 
 
 @pytest.mark.parametrize("n, p, rho", [(100, 0.4, -0.26), (7, 0.02, 0.5),
-                                       (10**9, 0.47, 0.31), (2**63 - 1, 0.4, 0.1)])
+                                       (10**9, 0.47, 0.31), (LENGTH_BOUND, 0.4, 0.1)])
 def test_sample_stream_split_is_the_one_call_form(tmp_path, capsys, n, p, rho):
     # `sample` and the CLI draw l0 and the losses from two generators, a
     # block at a time; the losses' generator starts `count` words into the

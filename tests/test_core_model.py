@@ -19,7 +19,7 @@ from dandelion_risk import (
     rho_bounds,
 )
 
-from conftest import lower_bound, rho_at
+from conftest import LENGTH_BOUND, lower_bound, rho_at
 
 
 class TestRhoBounds:
@@ -77,15 +77,17 @@ class TestModelConfig:
         with pytest.raises(AdmissibilityError):
             ModelConfig(n_credits=2.5, p=0.4, rho=0.1)
 
-    @pytest.mark.parametrize("n", [2**63, np.uint64(2**64 - 1)], ids=["2**63", "uint64_max"])
-    def test_rejects_n_past_int64(self, n):
-        # Past int64 numpy's binomial takes no n, and no loss fits an int64 cell.
+    @pytest.mark.parametrize("n", [LENGTH_BOUND + 1, 2**63, np.uint64(2**64 - 1)],
+                             ids=["bound+1", "2**63", "uint64_max"])
+    def test_rejects_n_past_the_length_bound(self, n):
+        # No array holds a pmf's N + 1 entries past the bound; past int64
+        # numpy's binomial takes no n.
         with pytest.raises(AdmissibilityError,
-                           match=r"n_credits=.* must be an integer in \[2, 9223372036854775807\]"):
+                           match=rf"n_credits=.* must be an integer in \[2, {LENGTH_BOUND}\]"):
             ModelConfig(n_credits=n, p=0.4, rho=0.1)
 
-    def test_accepts_n_at_int64_max(self):
-        assert ModelConfig(n_credits=2**63 - 1, p=0.4, rho=0.1).n_credits == 2**63 - 1
+    def test_accepts_n_at_the_length_bound(self):
+        assert ModelConfig(n_credits=LENGTH_BOUND, p=0.4, rho=0.1).n_credits == LENGTH_BOUND
 
     def test_rejects_rho_within_eps_of_bound(self):
         lo = rho_bounds(0.4).lower

@@ -147,16 +147,6 @@ class TestSample:
         with pytest.raises(AdmissibilityError, match=f"count={count!r}"):
             sample(ModelConfig(10, 0.4, 0.1), count, seed=0)
 
-    def test_rejects_n_past_int64(self):
-        # rng.binomial takes N as an int64; past that it would raise OverflowError.
-        with pytest.raises(AdmissibilityError, match="9223372036854775807"):
-            sample(ModelConfig(2**63, 0.4, 0.1), 1, seed=0)
-
-    def test_n_at_int64_max_draws_without_per_credit_work(self):
-        draws = sample(ModelConfig(2**63 - 1, 0.4, 0.1), 1, seed=0)
-        assert draws.shape == (1, 2)
-        assert 0 <= draws[0, 1] <= 2**63 - 1
-
 
 class TestMaxEntFit:
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.26])
